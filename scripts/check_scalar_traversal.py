@@ -6,8 +6,8 @@ a ``stack.pop()`` driving a ``while`` loop in ``src/repro/core/`` is
 almost always a regression back to the per-node scalar walk.  This
 script AST-walks every module there and flags each ``.pop()`` call
 inside a ``while`` loop unless its source line carries a
-``# scalar-pop-ok`` pragma (used by the retained scalar correctness
-twin, the MBCE baseline, and the frontier loop's whole-batch pops).
+``# scalar-pop-ok`` pragma (used by EPivoter's vertex-list walk, the
+MBCE baseline, and the frontier loop's whole-batch pops).
 
 Run from the repo root (CI lint job does)::
 

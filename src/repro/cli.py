@@ -576,16 +576,11 @@ def main(argv: "list[str] | None" = None) -> int:
                 from repro.core.matrix import (
                     MATRIX_MAX_P,
                     MATRIX_MAX_Q,
-                    matrix_available,
                     matrix_count_all,
                     matrix_count_single,
                     matrix_supported,
                 )
 
-                if not matrix_available():
-                    raise SystemExit(
-                        "--method matrix requires scipy; use --method epivoter"
-                    )
                 if args.p is not None:
                     if not matrix_supported(args.p, args.q):
                         raise SystemExit(

@@ -29,14 +29,16 @@ Python integers).
 Two traversal engines expand the same tree (see ``mode`` on
 :class:`EPivoter`):
 
-* the **scalar** engine — the explicit-stack, node-at-a-time loop in
-  :meth:`EPivoter._run_scalar`, the correctness twin every other path is
-  tested against;
+* the **vertex-list walk** — the explicit-stack, node-at-a-time loop in
+  :meth:`EPivoter._run_sets`, whose leaves carry vertex identities.  It
+  serves per-vertex counts, the uniform sampler, the paper's ``"exact"``
+  pivot rule, and small graphs; size-level visitors ride along through
+  an adapter that reduces each leaf to set sizes;
 * the **frontier** engine (:mod:`repro.core.frontier`) — a
   level-synchronous rewrite that expands whole batches of tree nodes
-  with vectorised numpy kernels, bit-identical to the scalar engine in
-  counts, traversal counters, and budget behaviour, several times
-  faster on real graphs.
+  with vectorised numpy kernels, bit-identical to the walk in counts,
+  traversal counters, and budget behaviour, several times faster on
+  real graphs.
 
 Counts are exact Python integers in both engines.
 """
@@ -95,11 +97,6 @@ class CountBudgetExceeded(RuntimeError):
 #: an armed deadline costs one ``perf_counter`` per block, not per node.
 _DEADLINE_CHECK_MASK = 255
 
-# A leaf contribution: (free_l, fixed_l, free_r, fixed_r, multiplier).
-# It represents `multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)`
-# bicliques for every (p, q).
-LeafVisitor = Callable[[list[int], list[int], list[int], list[int], int, int], None]
-
 # Size-prune bounds for a single traversal, as (max_p, max_q, min_p, min_q).
 # A branch is cut when its held set already exceeds every requested p (or
 # q), or when it can no longer reach the smallest requested p (or q).
@@ -110,7 +107,7 @@ Bounds = "tuple[int, int, int, int] | None"
 
 #: ``mode="auto"`` picks the frontier engine only when the graph is big
 #: enough for batching to amortise the numpy call overhead; below this
-#: many edges the scalar loop wins outright.
+#: many edges the vertex-list walk wins outright.
 _FRONTIER_AUTO_MIN_EDGES = 64
 
 
@@ -130,13 +127,13 @@ class EPivoter:
     mode:
         Which traversal engine expands the tree.  ``"frontier"`` forces
         the level-synchronous vectorised engine
-        (:mod:`repro.core.frontier`; requires numpy and the product
-        pivot), ``"scalar"`` forces the node-at-a-time loop, and
-        ``"auto"`` (default) picks the frontier engine for global counts
-        on graphs with at least ``64`` edges and the scalar engine
-        otherwise.  Both engines expand the identical tree and produce
-        bit-identical counts; local (per-vertex) counting always runs
-        the scalar set-level traversal, which needs vertex identities.
+        (:mod:`repro.core.frontier`; product pivot only), ``"scalar"``
+        forces the node-at-a-time vertex-list walk, and ``"auto"``
+        (default) picks the frontier engine for global counts on graphs
+        with at least ``64`` edges and the walk otherwise.  Both engines
+        expand the identical tree and produce bit-identical counts;
+        local (per-vertex) counting always runs the walk, which needs
+        vertex identities.
 
     All counting entry points accept ``workers``: ``None``/``1`` run
     serially in-process, ``N > 1`` fan the root edges out over ``N``
@@ -151,15 +148,8 @@ class EPivoter:
             raise ValueError("pivot must be 'product' or 'exact'")
         if mode not in ("auto", "frontier", "scalar"):
             raise ValueError("mode must be 'auto', 'frontier', or 'scalar'")
-        if mode == "frontier":
-            if pivot != "product":
-                raise ValueError(
-                    "frontier mode implements the 'product' pivot rule only"
-                )
-            from repro.core.frontier import NUMPY_AVAILABLE
-
-            if not NUMPY_AVAILABLE:  # pragma: no cover - broken installs
-                raise RuntimeError("frontier mode requires numpy")
+        if mode == "frontier" and pivot != "product":
+            raise ValueError("frontier mode implements the 'product' pivot rule only")
         self.pivot = pivot
         self.mode = mode
         if graph.is_degree_ordered():
@@ -170,7 +160,7 @@ class EPivoter:
         self._adj_right_cache: "list[set[int]] | None" = None
         self._frontier_graph = None
 
-    # Adjacency sets are the scalar engine's working representation;
+    # Adjacency sets are the vertex-list walk's working representation;
     # built lazily so frontier-only engines skip the O(n + m) set build.
     @property
     def _adj_left(self) -> "list[set[int]]":
@@ -196,9 +186,7 @@ class EPivoter:
             return False
         if self.mode == "frontier":
             return True
-        from repro.core.frontier import NUMPY_AVAILABLE
-
-        return NUMPY_AVAILABLE and self.graph.num_edges >= _FRONTIER_AUTO_MIN_EDGES
+        return self.graph.num_edges >= _FRONTIER_AUTO_MIN_EDGES
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -550,14 +538,17 @@ class EPivoter:
         deadline: "float | None" = None,
         trace=None,
     ) -> None:
-        """Dispatch one traversal to the frontier or scalar engine.
+        """Dispatch one size-level traversal to the frontier engine or
+        the vertex-list walk.
 
-        Both engines expand the *same* enumeration tree and call
-        ``visit`` with the same leaf descriptions (frontier batches and
-        deduplicates them, but the multiset of contributions is
-        identical), so counts are bit-identical either way.  ``trace``
-        is only consumed by the frontier engine (``frontier_expand``
-        spans); the scalar walk has no per-level structure to time.
+        ``visit(free_l, fixed_l, free_r, fixed_r, multiplier)`` adds
+        ``multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)``
+        to every (p, q) cell, where ``free_*``/``fixed_*`` are set sizes.
+        Both engines expand the *same* enumeration tree and describe the
+        same multiset of leaves (frontier batches and deduplicates them),
+        so counts are bit-identical either way.  ``trace`` is only
+        consumed by the frontier engine (``frontier_expand`` spans); the
+        walk has no per-level structure to time.
         """
         if self._use_frontier():
             from repro.core import frontier
@@ -584,8 +575,8 @@ class EPivoter:
                 trace=trace,
             )
             return
-        self._run_scalar(
-            visit,
+        self._run_sets(
+            _size_leaves(visit),
             left_region=left_region,
             bounds=bounds,
             roots=roots,
@@ -595,9 +586,38 @@ class EPivoter:
             deadline=deadline,
         )
 
-    def _run_scalar(
+    def _choose_pivot(
         self,
-        visit: "Callable[[int, int, int, int, int], None]",
+        edges: list[tuple[int, int]],
+        deg_l: dict[int, int],
+        deg_r: dict[int, int],
+        cand_l: list[int],
+        cand_r: list[int],
+    ) -> tuple[int, int]:
+        if self.pivot == "product":
+            return max(edges, key=lambda e: (deg_l[e[0]] - 1) * (deg_r[e[1]] - 1))
+        # Exact |N(e, G')|: pairs of (u', v') in G' with u' in N(v)\{u},
+        # v' in N(u)\{v} and (u', v') an edge of G'.  Candidate lists are
+        # sorted (children are filtered from sorted parents), so every
+        # side is one galloping intersection between a CSR row and the
+        # candidate list.
+        g = self.graph
+        best, best_score = edges[0], -1
+        for u, v in edges:
+            left_side = [x for x in intersect_sorted(g.row_right(v), cand_l) if x != u]
+            right_side = [y for y in intersect_sorted(g.row_left(u), cand_r) if y != v]
+            score = sum(intersect_size(g.row_left(x), right_side) for x in left_side)
+            if score > best_score:
+                best, best_score = (u, v), score
+        return best
+
+    # ------------------------------------------------------------------
+    # The vertex-list walk (local counts, the sampler, small graphs)
+    # ------------------------------------------------------------------
+
+    def _run_sets(
+        self,
+        on_leaf,
         left_region: "set[int] | None" = None,
         bounds: Bounds = None,
         roots: "list[tuple[int, int]] | None" = None,
@@ -606,17 +626,21 @@ class EPivoter:
         node_budget: "int | None" = None,
         deadline: "float | None" = None,
     ) -> None:
-        """Run the traversal over ``roots``; ``visit`` receives leaves.
+        """Walk the tree over ``roots``; leaves receive vertex lists.
 
-        ``visit(free_l, fixed_l, free_r, fixed_r, multiplier)`` adds
-        ``multiplier * C(free_l, p - fixed_l) * C(free_r, q - fixed_r)``
-        to every (p, q) cell, where ``free_*``/``fixed_*`` are set sizes.
+        ``on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min)``
+        describes the bicliques ``(X ∪ fixed_l, Y ∪ fixed_r ∪ S)`` with
+        ``X ⊆ free_l``, ``Y ⊆ free_r``, ``S ⊆ extra_pool``,
+        ``|S| >= extra_min``.  Size-level visitors ride along through
+        :func:`_size_leaves`.
 
         ``roots`` defaults to every edge of the graph; the parallel layer
-        passes per-chunk subsets.  The walk is an explicit-stack DFS — no
-        Python recursion, so depth is bounded only by memory.  Leaf order
-        differs from the recursive formulation, which is immaterial:
-        every visitor accumulates by commutative (exact-integer) addition.
+        passes per-chunk subsets, and ``left_region`` keeps only roots
+        whose left endpoint lies in it.  The walk is an explicit-stack
+        DFS — no Python recursion, so depth is bounded only by memory.
+        Leaf order differs from the recursive formulation, which is
+        immaterial: every visitor accumulates by commutative
+        (exact-integer) addition.
 
         With ``obs`` enabled the traversal accumulates its counters in
         locals and flushes them once at the end, so instrumentation adds
@@ -646,212 +670,6 @@ class EPivoter:
         pivot_branches = edge_branches = 0
         prune_size = prune_reach_l = prune_reach_r = 0
         max_depth = 0
-        stack: list[tuple[list[int], list[int], int, int, int, int]] = []
-        push = stack.append
-        if deadline is not None and time.monotonic() >= deadline:
-            raise CountBudgetExceeded(
-                "deadline expired before the traversal started"
-            )
-        for root_u, root_v in roots:
-            if left_region is not None and root_u not in left_region:
-                continue
-            n_roots += 1
-            push(
-                (
-                    list(g.higher_neighbors_of_right(root_v, root_u)),
-                    list(g.higher_neighbors_of_left(root_u, root_v)),
-                    0, 1, 0, 1,
-                )
-            )
-            while stack:
-                if track:
-                    nodes += 1
-                    if len(stack) > max_depth:
-                        max_depth = len(stack)
-                if budgeted:
-                    budget_nodes += 1
-                    if node_budget is not None and budget_nodes > node_budget:
-                        raise CountBudgetExceeded(
-                            f"node budget of {node_budget} exhausted"
-                        )
-                    if (
-                        deadline is not None
-                        and (budget_nodes & _DEADLINE_CHECK_MASK) == 0
-                        and time.monotonic() >= deadline
-                    ):
-                        raise CountBudgetExceeded(
-                            f"deadline hit after {budget_nodes} nodes"
-                        )
-                if heartbeat is not None:
-                    heartbeat.tick()
-                cand_l, cand_r, p_l, h_l, p_r, h_r = stack.pop()  # scalar-pop-ok: correctness twin
-                if max_p is not None:
-                    if h_l > max_p or h_r > max_q:
-                        prune_size += 1
-                        continue
-                    if p_l + h_l + len(cand_l) < min_p:
-                        prune_reach_l += 1
-                        continue
-                    if p_r + h_r + len(cand_r) < min_q:
-                        prune_reach_r += 1
-                        continue
-                cand_r_set = set(cand_r)
-                # Edges of the candidate-induced subgraph G', plus
-                # per-vertex degrees within G'.
-                edges: list[tuple[int, int]] = []
-                deg_l: dict[int, int] = {}
-                deg_r: dict[int, int] = {}
-                for x in cand_l:
-                    # Sorted so edge order (and hence pivot tie-breaks
-                    # and stack order) is deterministic and matches the
-                    # frontier engine's (x-position, y-value) order.
-                    hits = sorted(adj_left[x] & cand_r_set)
-                    if hits:
-                        deg_l[x] = len(hits)
-                        for y in hits:
-                            deg_r[y] = deg_r.get(y, 0) + 1
-                            edges.append((x, y))
-                if not edges:
-                    leaves += 1
-                    n_l, n_r = len(cand_l), len(cand_r)
-                    if n_l and n_r:
-                        # Bicliques with no right candidate: left
-                        # candidates free.
-                        visit(p_l + n_l, h_l, p_r, h_r, 1)
-                        # Bicliques with i >= 1 right candidates exclude
-                        # all left candidates (no edges across),
-                        # contributing C(n_r, i).
-                        for i in range(1, n_r + 1):
-                            visit(p_l, h_l, p_r, h_r + i, binomial(n_r, i))
-                    else:
-                        visit(p_l + n_l, h_l, p_r + n_r, h_r, 1)
-                    continue
-
-                pivot_u, pivot_v = self._choose_pivot(
-                    edges, deg_l, deg_r, cand_l, cand_r
-                )
-                nbr_v = adj_right[pivot_v]
-                nbr_u = adj_left[pivot_u]
-
-                # Local reordering: non-neighbors of the pivot first on
-                # each side.
-                new_l = [x for x in cand_l if x not in nbr_v] + [x for x in cand_l if x in nbr_v]
-                new_r = [y for y in cand_r if y not in nbr_u] + [y for y in cand_r if y in nbr_u]
-                pos_l = {x: i for i, x in enumerate(new_l)}
-                pos_r = {y: i for i, y in enumerate(new_r)}
-
-                # Case 6: branch on every candidate edge not fully inside
-                # the pivot's neighborhood.
-                for x, y in edges:
-                    if x in nbr_v and y in nbr_u:
-                        continue
-                    adj_y = adj_right[y]
-                    adj_x = adj_left[x]
-                    px, py = pos_l[x], pos_r[y]
-                    # Filter the *sorted* parent lists (same subset as
-                    # filtering new_l/new_r — pos carries the local
-                    # order), so candidate lists stay sorted at every
-                    # node and the exact pivot can use the CSR kernel.
-                    sub_l = [c for c in cand_l if pos_l[c] > px and c in adj_y]
-                    sub_r = [c for c in cand_r if pos_r[c] > py and c in adj_x]
-                    edge_branches += 1
-                    push((sub_l, sub_r, p_l, h_l + 1, p_r, h_r + 1))
-
-                # Cases 1-4: the pivot branch; pivot endpoints become free.
-                sub_l = [c for c in cand_l if c in nbr_v and c != pivot_u]
-                sub_r = [c for c in cand_r if c in nbr_u and c != pivot_v]
-                pivot_branches += 1
-                push((sub_l, sub_r, p_l + 1, h_l, p_r + 1, h_r))
-
-                # Case 5: bicliques using candidates of one side only,
-                # with at least one non-neighbor of the pivot (held);
-                # processed in local order with progressive removal to
-                # keep representation unique.
-                remaining = len(cand_l)
-                for w in (x for x in new_l if x not in nbr_v):
-                    remaining -= 1
-                    visit(p_l + remaining, h_l + 1, p_r, h_r, 1)
-                remaining = len(cand_r)
-                for w in (y for y in new_r if y not in nbr_u):
-                    remaining -= 1
-                    visit(p_l, h_l, p_r + remaining, h_r + 1, 1)
-        if track:
-            _flush_traversal_stats(
-                obs,
-                n_roots,
-                nodes,
-                leaves,
-                pivot_branches,
-                edge_branches,
-                prune_size,
-                prune_reach_l,
-                prune_reach_r,
-                max_depth,
-            )
-
-    def _choose_pivot(
-        self,
-        edges: list[tuple[int, int]],
-        deg_l: dict[int, int],
-        deg_r: dict[int, int],
-        cand_l: list[int],
-        cand_r: list[int],
-    ) -> tuple[int, int]:
-        if self.pivot == "product":
-            return max(edges, key=lambda e: (deg_l[e[0]] - 1) * (deg_r[e[1]] - 1))
-        # Exact |N(e, G')|: pairs of (u', v') in G' with u' in N(v)\{u},
-        # v' in N(u)\{v} and (u', v') an edge of G'.  Candidate lists are
-        # sorted (children are filtered from sorted parents), so every
-        # side is one galloping intersection between a CSR row and the
-        # candidate list.
-        g = self.graph
-        best, best_score = edges[0], -1
-        for u, v in edges:
-            left_side = [x for x in intersect_sorted(g.row_right(v), cand_l) if x != u]
-            right_side = [y for y in intersect_sorted(g.row_left(u), cand_r) if y != v]
-            score = sum(intersect_size(g.row_left(x), right_side) for x in left_side)
-            if score > best_score:
-                best, best_score = (u, v), score
-        return best
-
-    # ------------------------------------------------------------------
-    # Set-level traversal (local counting needs vertex identities)
-    # ------------------------------------------------------------------
-
-    def _run_sets(
-        self,
-        on_leaf,
-        bounds: Bounds = None,
-        roots: "list[tuple[int, int]] | None" = None,
-        obs: "MetricsRegistry | None" = None,
-        heartbeat: "Heartbeat | None" = None,
-        node_budget: "int | None" = None,
-        deadline: "float | None" = None,
-    ) -> None:
-        """Like :meth:`_run` but leaves receive vertex lists.
-
-        ``on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min)``
-        describes the bicliques ``(X ∪ fixed_l, Y ∪ fixed_r ∪ S)`` with
-        ``X ⊆ free_l``, ``Y ⊆ free_r``, ``S ⊆ extra_pool``,
-        ``|S| >= extra_min``.
-        """
-        g = self.graph
-        adj_left = self._adj_left
-        adj_right = self._adj_right
-        if bounds is None:
-            max_p = max_q = None
-            min_p = min_q = 1
-        else:
-            max_p, max_q, min_p, min_q = bounds
-        if roots is None:
-            roots = g.edges()
-        track = obs is not None and obs.enabled
-        budgeted = node_budget is not None or deadline is not None
-        budget_nodes = 0
-        n_roots = nodes = leaves = 0
-        pivot_branches = edge_branches = 0
-        prune_size = prune_reach_l = prune_reach_r = 0
-        max_depth = 0
         stack: list[
             tuple[list[int], list[int], list[int], list[int], list[int], list[int]]
         ] = []
@@ -861,6 +679,8 @@ class EPivoter:
                 "deadline expired before the traversal started"
             )
         for root_u, root_v in roots:
+            if left_region is not None and root_u not in left_region:
+                continue
             n_roots += 1
             push(
                 (
@@ -890,7 +710,7 @@ class EPivoter:
                         )
                 if heartbeat is not None:
                     heartbeat.tick()
-                cand_l, cand_r, p_l, h_l, p_r, h_r = stack.pop()  # scalar-pop-ok: vertex-identity walk
+                cand_l, cand_r, p_l, h_l, p_r, h_r = stack.pop()  # scalar-pop-ok: vertex-list walk
                 if max_p is not None:
                     if len(h_l) > max_p or len(h_r) > max_q:
                         prune_size += 1
@@ -902,10 +722,15 @@ class EPivoter:
                         prune_reach_r += 1
                         continue
                 cand_r_set = set(cand_r)
+                # Edges of the candidate-induced subgraph G', plus
+                # per-vertex degrees within G'.
                 edges: list[tuple[int, int]] = []
                 deg_l: dict[int, int] = {}
                 deg_r: dict[int, int] = {}
                 for x in cand_l:
+                    # Sorted so edge order (and hence pivot tie-breaks
+                    # and stack order) is deterministic and matches the
+                    # frontier engine's (x-position, y-value) order.
                     hits = sorted(adj_left[x] & cand_r_set)
                     if hits:
                         deg_l[x] = len(hits)
@@ -915,6 +740,8 @@ class EPivoter:
                 if not edges:
                     leaves += 1
                     if cand_l and cand_r:
+                        # No edges across: a biclique takes free left
+                        # candidates or >= 1 right candidates, not both.
                         on_leaf(p_l + cand_l, h_l, p_r, h_r, [], 0)
                         on_leaf(p_l, h_l, p_r, h_r, cand_r, 1)
                     else:
@@ -926,37 +753,47 @@ class EPivoter:
                 )
                 nbr_v = adj_right[pivot_v]
                 nbr_u = adj_left[pivot_u]
-                new_l = [x for x in cand_l if x not in nbr_v] + [x for x in cand_l if x in nbr_v]
-                new_r = [y for y in cand_r if y not in nbr_u] + [y for y in cand_r if y in nbr_u]
+
+                # Local reordering: non-neighbors of the pivot first on
+                # each side.
+                far_l = [x for x in cand_l if x not in nbr_v]
+                far_r = [y for y in cand_r if y not in nbr_u]
+                new_l = far_l + [x for x in cand_l if x in nbr_v]
+                new_r = far_r + [y for y in cand_r if y in nbr_u]
                 pos_l = {x: i for i, x in enumerate(new_l)}
                 pos_r = {y: i for i, y in enumerate(new_r)}
 
+                # Case 6: branch on every candidate edge not fully inside
+                # the pivot's neighborhood.
                 for x, y in edges:
                     if x in nbr_v and y in nbr_u:
                         continue
                     adj_y = adj_right[y]
                     adj_x = adj_left[x]
                     px, py = pos_l[x], pos_r[y]
-                    # Sorted parent lists, same subset as new_l/new_r
-                    # (see _run): keeps candidates sorted for the kernel.
+                    # Filter the *sorted* parent lists (same subset as
+                    # filtering new_l/new_r — pos carries the local
+                    # order), so candidate lists stay sorted at every
+                    # node and the exact pivot can use the CSR kernel.
                     sub_l = [c for c in cand_l if pos_l[c] > px and c in adj_y]
                     sub_r = [c for c in cand_r if pos_r[c] > py and c in adj_x]
                     edge_branches += 1
                     push((sub_l, sub_r, p_l, h_l + [x], p_r, h_r + [y]))
 
+                # Cases 1-4: the pivot branch; pivot endpoints become free.
                 sub_l = [c for c in cand_l if c in nbr_v and c != pivot_u]
                 sub_r = [c for c in cand_r if c in nbr_u and c != pivot_v]
                 pivot_branches += 1
                 push((sub_l, sub_r, p_l + [pivot_u], h_l, p_r + [pivot_v], h_r))
 
-                pool = list(new_l)
-                for w in [x for x in new_l if x not in nbr_v]:
-                    pool.remove(w)
-                    on_leaf(p_l + pool, h_l + [w], p_r, h_r, [], 0)
-                pool_r = list(new_r)
-                for w in [y for y in new_r if y not in nbr_u]:
-                    pool_r.remove(w)
-                    on_leaf(p_l, h_l, p_r + pool_r, h_r + [w], [], 0)
+                # Case 5: bicliques using candidates of one side only,
+                # holding at least one non-neighbor of the pivot; the
+                # k-th non-neighbor is held with only the candidates
+                # after it free, which keeps the representation unique.
+                for k, w in enumerate(far_l, 1):
+                    on_leaf(p_l + new_l[k:], h_l + [w], p_r, h_r, [], 0)
+                for k, w in enumerate(far_r, 1):
+                    on_leaf(p_l, h_l, p_r + new_r[k:], h_r + [w], [], 0)
         if track:
             _flush_traversal_stats(
                 obs,
@@ -1152,6 +989,27 @@ def _single_cell_visitor(p: int, q: int):
     visit.left_run = left_run
     visit.right_run = right_run
     return visit, box
+
+
+def _size_leaves(visit):
+    """Adapt a size-level ``visit`` to the vertex-list walk's leaves.
+
+    A leaf with a right ``extra_pool`` of ``n`` vertices, at least
+    ``extra_min`` of them taken, becomes one ``visit`` per subset size
+    ``i``: the ``i`` taken vertices are held, with multiplier
+    ``C(n, i)``.
+    """
+
+    def on_leaf(free_l, fixed_l, free_r, fixed_r, extra_pool, extra_min):
+        n_extra = len(extra_pool)
+        if not n_extra:
+            visit(len(free_l), len(fixed_l), len(free_r), len(fixed_r), 1)
+            return
+        nf_l, nx_l, nf_r, nx_r = len(free_l), len(fixed_l), len(free_r), len(fixed_r)
+        for i in range(extra_min, n_extra + 1):
+            visit(nf_l, nx_l, nf_r, nx_r + i, binomial(n_extra, i))
+
+    return on_leaf
 
 
 def _local_leaf_visitor(

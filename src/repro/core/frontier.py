@@ -1,6 +1,6 @@
 """Level-synchronous (frontier-batched) EPivoter traversal.
 
-The scalar engine in :mod:`repro.core.epivoter` pops one enumeration-
+The vertex-list walk in :mod:`repro.core.epivoter` pops one enumeration-
 tree node per loop iteration, so CPython interpreter overhead dominates
 its runtime.  This module restructures the same traversal GPU-style
 (after the level-synchronous formulation of "Accelerating Biclique
@@ -30,9 +30,9 @@ Counts stay exact: leaf and case-5 contributions are *recorded* as
 small integer tuples, deduplicated with ``np.unique`` per batch, and
 only evaluated at the end with Python-integer binomials — numpy never
 computes a count, so there is no int64 overflow and ``BicliqueCounts``
-cells are bit-identical to the scalar engine's.
+cells are bit-identical to the walk's.
 
-Budget semantics match the scalar engine exactly: both raise
+Budget semantics match the walk exactly: both raise
 :class:`~repro.core.epivoter.CountBudgetExceeded` if and only if the
 tree has more than ``node_budget`` nodes (every node enters exactly one
 batch, and the running node total is checked before each batch
@@ -44,10 +44,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-try:  # numpy is a hard dependency, but the scalar engine must not need it
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    np = None
+import numpy as np
 
 from repro.graph.intersect import (
     as_int64,
@@ -64,13 +61,10 @@ if TYPE_CHECKING:
     from repro.obs.trace import Trace
 
 __all__ = [
-    "NUMPY_AVAILABLE",
     "DEFAULT_BATCH_CAP",
     "FrontierGraph",
     "run_frontier",
 ]
-
-NUMPY_AVAILABLE = np is not None
 
 #: Child batches are split so no single expansion exceeds this many
 #: nodes — bounds the arena working set regardless of tree width.
@@ -355,7 +349,7 @@ def _segment_ranks(flags, node_of, offsets, n_nodes):
     """Scalar local-reordering positions, vectorised per segment.
 
     ``flags[i]`` says whether flat candidate ``i`` is adjacent to its
-    node's pivot.  The scalar engine reorders each candidate list as
+    node's pivot.  The vertex-list walk reorders each candidate list as
     non-neighbors first, neighbors after (both preserving sorted order);
     the returned ``ranks`` are each candidate's index in that reordered
     list, and ``t`` the per-node non-neighbor count.
@@ -612,8 +606,9 @@ def run_frontier(
     trace: "Trace | None" = None,
     batch_cap: int = DEFAULT_BATCH_CAP,
 ) -> None:
-    """Run the frontier traversal over ``roots``; drop-in for
-    ``EPivoter._run_scalar`` (same visitor, bounds, budget semantics).
+    """Run the frontier traversal over ``roots``; drop-in for the
+    size-level vertex-list walk ``EPivoter._run_sets`` takes through
+    ``_size_leaves`` (same visitor, bounds, budget semantics).
 
     ``heartbeat`` ticks once per node (``tick(width)`` per batch);
     ``trace`` receives ``frontier_expand`` spans for the first

@@ -27,26 +27,28 @@ matmul runs in float64, exact for integers below ``2**53`` — far above
 any reachable overlap count.  Every cell is bit-identical to EPivoter;
 the golden-counts suite pins this.
 
-Shape support is :func:`matrix_supported`; availability (scipy present)
-is :func:`matrix_available`.  The service planner prices this engine
-from :func:`repro.graph.sparse.pair_work` before routing to it.
+Shape support is :func:`matrix_supported`.  The service planner prices
+this engine from :func:`repro.graph.sparse.pair_work` before routing to
+it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+import scipy.sparse as sp
+
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import LEFT, RIGHT, BipartiteGraph
+from repro.graph.intersect import as_int64
 from repro.graph.sparse import (
-    as_int64,
     biadjacency,
     binomial_sum,
     histogram_binomial_fold,
     overlap_histogram,
     pair_matrix,
     pair_work,
-    sparse_available,
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACE
@@ -56,7 +58,6 @@ if TYPE_CHECKING:
     from repro.obs.trace import Trace
 
 __all__ = [
-    "matrix_available",
     "matrix_supported",
     "matrix_count_single",
     "matrix_count_all",
@@ -75,11 +76,6 @@ MATRIX_MAX_Q = 3
 _DENSE_CELL_CAP = 16_000_000
 
 
-def matrix_available() -> bool:
-    """True iff the engine can run here (scipy/numpy importable)."""
-    return sparse_available()
-
-
 def matrix_supported(p: int, q: int) -> bool:
     """True iff cell ``(p, q)`` has a closed form in this engine."""
     if p < 1 or q < 1:
@@ -93,8 +89,6 @@ def _require(p: int, q: int) -> None:
             f"matrix engine has no closed form for ({p}, {q}); "
             "supported shapes are min(p, q) <= 2 and (3, 3)"
         )
-    if not matrix_available():
-        raise RuntimeError("matrix engine requires scipy; use EPivoter")
 
 
 def _pair_side_count(graph: BipartiteGraph, side: int, k: int) -> int:
@@ -111,8 +105,6 @@ def _pair_side_count(graph: BipartiteGraph, side: int, k: int) -> int:
 
 def _count_33(graph: BipartiteGraph, obs: MetricsRegistry = NULL_REGISTRY) -> int:
     """Exact (3, 3)-biclique count via the anchored per-vertex pass."""
-    import numpy as np
-
     # Anchor on whichever side has the cheaper pair matrix; (3, 3) is
     # symmetric, so counting over the swapped view is the same number.
     if pair_work(graph, LEFT) > pair_work(graph, RIGHT):
@@ -163,8 +155,6 @@ def _count_33(graph: BipartiteGraph, obs: MetricsRegistry = NULL_REGISTRY) -> in
             fold_diag = binomial_sum(np.ascontiguousarray(np.diagonal(overlaps)), 3)
             total += (fold_all - fold_diag) // 2
         else:  # pragma: no cover - exercised only by huge dense anchors
-            import scipy.sparse as sp
-
             if adjacency is None:
                 adjacency = biadjacency(graph)
             restricted = adjacency[candidates][:, cols_u]
@@ -183,8 +173,8 @@ def matrix_count_single(
 ) -> int:
     """Exact number of (p, q)-bicliques for a supported shape.
 
-    Raises ``ValueError`` for shapes outside :func:`matrix_supported`
-    and ``RuntimeError`` when scipy is unavailable.  Always returns an
+    Raises ``ValueError`` for shapes outside :func:`matrix_supported`.
+    Always returns an
     exact Python integer, bit-identical to EPivoter.
     """
     _require(p, q)

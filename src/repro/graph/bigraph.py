@@ -15,9 +15,13 @@ Follows the notation of Section 2 of the paper:
 
 Layout
 ------
-The four CSR buffers are stdlib ``array('q')`` values (``numpy`` is used
-opportunistically to accelerate construction when importable, but never
-stored):
+Every graph is built through numpy (one sort over 1-D ``(u, v)`` keys),
+but the four CSR buffers are stored as stdlib ``array('q')`` values, not
+ndarrays: the pure-Python kernels (the vertex-list walk, stars, zigzag,
+the intersection kernels) index the rows element by element, and an
+ndarray is several times slower than an ``array`` at per-element
+indexing, ``tuple(row)`` and ``bisect``.  The vectorised layers wrap the
+same bytes zero-copy with ``np.frombuffer``.
 
 * ``indptr_left[u] : indptr_left[u + 1]`` delimits ``N(u)`` inside the
   sorted ``indices_left`` buffer, and symmetrically on the right;
@@ -42,10 +46,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Sequence
 
-try:  # opportunistic: construction vectorises when numpy is importable
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test env ships numpy
-    _np = None
+import numpy as np
 
 __all__ = ["BipartiteGraph", "LEFT", "RIGHT"]
 
@@ -55,10 +56,6 @@ RIGHT = 1
 #: CSR buffers hold int64 ids ('q' = signed 8-byte), matching what the
 #: shared-memory worker handoff casts its memoryviews to.
 TYPECODE = "q"
-
-#: Edge count above which construction routes through numpy (when
-#: importable); below it the pure-Python path wins on constant factors.
-_NUMPY_BUILD_THRESHOLD = 2048
 
 
 def _empty() -> array:
@@ -73,60 +70,33 @@ def _as_buffer(values) -> "array | Sequence[int]":
     return array(TYPECODE, values)
 
 
-def _build_csr_python(
+def _build_csr(
     n_left: int, n_right: int, edges: "list[tuple[int, int]]"
 ) -> tuple[array, array, array, array]:
-    """Sort + dedupe ``edges`` and build both CSR sides, pure Python."""
-    edges.sort()
-    indptr_l = array(TYPECODE, bytes(8 * (n_left + 1)))
-    indices_l = _empty()
-    append = indices_l.append
-    prev = None
-    right_degree = [0] * n_right
-    for edge in edges:
-        if edge == prev:
-            continue
-        prev = edge
-        u, v = edge
-        indptr_l[u + 1] += 1
-        right_degree[v] += 1
-        append(v)
-    for u in range(n_left):
-        indptr_l[u + 1] += indptr_l[u]
-    num_edges = len(indices_l)
-    # Counting-sort scatter: left rows are visited in ascending u, so each
-    # right row comes out sorted without a per-row sort.
-    indptr_r = array(TYPECODE, bytes(8 * (n_right + 1)))
-    for v in range(n_right):
-        indptr_r[v + 1] = indptr_r[v] + right_degree[v]
-    fill = list(indptr_r[:-1])
-    indices_r = array(TYPECODE, bytes(8 * num_edges))
-    for u in range(n_left):
-        for k in range(indptr_l[u], indptr_l[u + 1]):
-            v = indices_l[k]
-            indices_r[fill[v]] = u
-            fill[v] += 1
-    return indptr_l, indices_l, indptr_r, indices_r
+    """Validate, sort and dedupe ``edges``; build both CSR sides.
 
-
-def _build_csr_numpy(
-    n_left: int, n_right: int, edges: "list[tuple[int, int]]"
-) -> tuple[array, array, array, array]:
-    """Vectorised construction: lexsort + unique + bincount cumsums."""
-    pairs = _np.array(edges, dtype=_np.int64).reshape(-1, 2)
-    pairs = _np.unique(pairs, axis=0)  # sorts by (u, v) and dedupes
+    One ``u * n_right + v`` key per edge sorts and dedupes the list in
+    ``(u, v)`` order; a stable sort of the result by ``v`` gives the
+    right side with every row already sorted by ``u``.
+    """
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     us, vs = pairs[:, 0], pairs[:, 1]
-    indptr_l = _np.zeros(n_left + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(us, minlength=n_left), out=indptr_l[1:])
-    order = _np.lexsort((us, vs))  # right CSR: sort by (v, u)
-    indptr_r = _np.zeros(n_right + 1, dtype=_np.int64)
-    _np.cumsum(_np.bincount(vs, minlength=n_right), out=indptr_r[1:])
-    result = []
-    for arr in (indptr_l, vs, indptr_r, us[order]):
-        out = _empty()
-        out.frombytes(_np.ascontiguousarray(arr, dtype=_np.int64).tobytes())
-        result.append(out)
-    return tuple(result)
+    bad = (us < 0) | (us >= n_left) | (vs < 0) | (vs >= n_right)
+    if bad.any():
+        u, v = (int(x) for x in pairs[int(np.argmax(bad))])
+        if not 0 <= u < n_left:
+            raise ValueError(f"left vertex {u} out of range [0, {n_left})")
+        raise ValueError(f"right vertex {v} out of range [0, {n_right})")
+    stride = max(n_right, 1)
+    us, vs = np.divmod(np.unique(us * stride + vs), stride)
+    indptr_l = np.zeros(n_left + 1, dtype=np.int64)
+    np.cumsum(np.bincount(us, minlength=n_left), out=indptr_l[1:])
+    indptr_r = np.zeros(n_right + 1, dtype=np.int64)
+    np.cumsum(np.bincount(vs, minlength=n_right), out=indptr_r[1:])
+    indices_r = us[np.argsort(vs, kind="stable")]
+    return tuple(
+        array(TYPECODE, arr.tobytes()) for arr in (indptr_l, vs, indptr_r, indices_r)
+    )
 
 
 def csr_induce(
@@ -231,17 +201,9 @@ class BipartiteGraph:
             raise ValueError("side sizes must be non-negative")
         self.n_left = n_left
         self.n_right = n_right
-        edge_list = list(edges)
-        for u, v in edge_list:
-            if not (0 <= u < n_left):
-                raise ValueError(f"left vertex {u} out of range [0, {n_left})")
-            if not (0 <= v < n_right):
-                raise ValueError(f"right vertex {v} out of range [0, {n_right})")
-        if _np is not None and len(edge_list) >= _NUMPY_BUILD_THRESHOLD:
-            built = _build_csr_numpy(n_left, n_right, edge_list)
-        else:
-            built = _build_csr_python(n_left, n_right, edge_list)
-        self._indptr_l, self._indices_l, self._indptr_r, self._indices_r = built
+        (
+            self._indptr_l, self._indices_l, self._indptr_r, self._indices_r
+        ) = _build_csr(n_left, n_right, list(edges))
         self._deg_l = None
         self._deg_r = None
         self._fingerprint = None

@@ -6,7 +6,7 @@ per-region butterfly counts to evaluate the partition strategy.
 
 Two implementations live side by side:
 
-* The **matrix kernels** (default when scipy imports) compute everything
+* The **matrix kernels** (the implementation) compute everything
   as a handful of sparse products over the CSR buffers, the cache-aware
   formulation of "Efficient Butterfly Counting for Large Bipartite
   Networks":
@@ -21,8 +21,8 @@ Two implementations live side by side:
     ``v`` itself).
 
 * The **reference implementations** (``*_reference``) keep the original
-  pure-Python wedge loop: the fallback when scipy is absent, and the
-  equality oracle the test suite and benchmark pin the kernels against.
+  pure-Python wedge loop as the equality oracle the test suite and
+  benchmark pin the kernels against.
 
 Both paths return exact Python integers; ``butterflies_per_edge`` is
 bit-identical between them.
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
+
 from repro.graph.bigraph import LEFT, RIGHT, BipartiteGraph
 from repro.graph.intersect import intersect_size
 from repro.graph.sparse import (
@@ -39,7 +41,6 @@ from repro.graph.sparse import (
     histogram_binomial_fold,
     overlap_histogram,
     pair_work,
-    sparse_available,
 )
 from repro.utils.combinatorics import binomial
 
@@ -67,12 +68,9 @@ def butterfly_count_from_histogram(histogram: dict[int, int]) -> int:
 def butterfly_count(graph: BipartiteGraph) -> int:
     """Exact number of (2,2)-bicliques in ``graph``.
 
-    Takes the sparse-matrix path when scipy is importable (a single
-    ``A @ A.T`` product on the cheaper side plus a histogram fold),
-    otherwise the pure-Python wedge loop.  Both are exact integers.
+    One sparse ``A @ A.T`` product on the cheaper side plus a
+    histogram fold, exact in integers.
     """
-    if not sparse_available() or graph.num_edges == 0:
-        return butterfly_count_reference(graph)
     side = LEFT if pair_work(graph, LEFT) <= pair_work(graph, RIGHT) else RIGHT
     return butterfly_count_from_histogram(overlap_histogram(graph, side))
 
@@ -113,17 +111,8 @@ def butterflies_per_edge_array(graph: BipartiteGraph):
     exactly ``A``'s pattern and its CSR data aligns with the edge-id
     space after an index sort.
     """
-    import numpy as np
-
     if graph.num_edges == 0:
         return np.empty(0, dtype=np.int64)
-    if not sparse_available():
-        per_edge = butterflies_per_edge_reference(graph)
-        return np.fromiter(
-            (per_edge[edge] for edge in graph.edges()),
-            dtype=np.int64,
-            count=graph.num_edges,
-        )
     adjacency = biadjacency(graph)
     wedge_sums = (adjacency @ adjacency.T) @ adjacency
     on_edges = wedge_sums.multiply(adjacency).tocsr()

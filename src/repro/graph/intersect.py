@@ -52,10 +52,7 @@ from array import array as _stdlib_array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Sequence
 
-try:  # numpy is a hard dependency, but the scalar kernels never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on broken installs
-    _np = None
+import numpy as np
 
 __all__ = [
     "GALLOP_FACTOR",
@@ -280,30 +277,24 @@ def apply_delta(
 # ----------------------------------------------------------------------
 
 
-def _require_numpy():
-    if _np is None:  # pragma: no cover - exercised only on broken installs
-        raise RuntimeError("the batched intersect kernels require numpy")
-    return _np
-
-
-def as_int64(buf):
+def as_int64(buf) -> np.ndarray:
     """A zero-copy (where possible) int64 ndarray view of a CSR buffer.
 
     Accepts the buffer types :meth:`BipartiteGraph.csr_buffers` can
     return — stdlib ``array('q')``, the ``memoryview('q')`` rows that
     shared-memory workers see — plus ndarrays and plain sequences.
     """
-    np = _require_numpy()
     if isinstance(buf, np.ndarray):
         return np.ascontiguousarray(buf, dtype=np.int64)
     if isinstance(buf, (_stdlib_array, memoryview)):
+        if len(buf) == 0:  # older numpy rejects an empty buffer
+            return np.empty(0, dtype=np.int64)
         return np.frombuffer(buf, dtype=np.int64)
     return np.asarray(buf, dtype=np.int64)
 
 
 def exclusive_cumsum(lengths):
     """``[0, l0, l0+l1, ...]`` — ragged-slice offsets from slice lengths."""
-    np = _require_numpy()
     out = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
     return out
@@ -317,7 +308,6 @@ def gather_slices(values, starts, lengths):
     ``repeat`` builds every slice's base index, one ``arange`` the
     intra-slice offsets.
     """
-    np = _require_numpy()
     offsets = exclusive_cumsum(lengths)
     total = int(offsets[-1])
     if total == 0:
@@ -363,7 +353,6 @@ def intersect_arena_many(
     must then be the stride it was built with, strictly greater than
     every value in ``indices`` and ``query_arena``.
     """
-    np = _require_numpy()
     indptr = as_int64(indptr)
     indices = as_int64(indices)
     rows = as_int64(rows)
@@ -481,7 +470,6 @@ def intersect_many(indptr, indices, rows, query):
     is the sorted intersection for ``rows[i]`` — elementwise equal to
     looping :func:`intersect_sorted` over the rows.
     """
-    np = _require_numpy()
     query = as_int64(query)
     qoff = np.array([0, query.size], dtype=np.int64)
     counts, values, _ = intersect_arena_many(indptr, indices, rows, query, qoff)
@@ -490,7 +478,6 @@ def intersect_many(indptr, indices, rows, query):
 
 def intersect_size_many(indptr, indices, rows, query):
     """``|N(rows[i]) ∩ query|`` for many CSR rows, without materialising."""
-    np = _require_numpy()
     query = as_int64(query)
     qoff = np.array([0, query.size], dtype=np.int64)
     counts, _, _ = intersect_arena_many(

@@ -10,10 +10,6 @@ sparse product.  Closed-form small-(p, q) counts are binomial sums over
 ``M``'s entries — see :mod:`repro.core.matrix` and
 :mod:`repro.graph.butterflies` for the formulas.
 
-Everything here degrades gracefully: scipy is an optional accelerator,
-and callers check :func:`sparse_available` before taking the fast path
-(the pure-Python reference implementations remain the fallback).
-
 Exactness contract: matrix products stay in int64 (entries are bounded
 by max degree, far from overflow), and :func:`binomial_sum` folds the
 entries through a ``bincount`` histogram so each binomial coefficient is
@@ -25,22 +21,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.graph.bigraph import LEFT, RIGHT
-from repro.utils.combinatorics import binomial
+import numpy as np
+import scipy.sparse as sp
 
-try:  # optional accelerator: every caller has a pure-Python fallback
-    import numpy as np
-    import scipy.sparse as sp
-except ImportError:  # pragma: no cover - the test env ships both
-    np = None
-    sp = None
+from repro.graph.bigraph import LEFT, RIGHT
+from repro.graph.intersect import as_int64
+from repro.utils.combinatorics import binomial
 
 if TYPE_CHECKING:
     from repro.graph.bigraph import BipartiteGraph
 
 __all__ = [
-    "sparse_available",
-    "as_int64",
     "biadjacency",
     "pair_matrix",
     "pair_work",
@@ -48,18 +39,6 @@ __all__ = [
     "overlap_histogram",
     "histogram_binomial_fold",
 ]
-
-
-def sparse_available() -> bool:
-    """True iff the scipy/numpy fast paths can run in this environment."""
-    return sp is not None
-
-
-def as_int64(buffer) -> "np.ndarray":
-    """Wrap a CSR buffer (``array('q')`` / ``memoryview``) zero-copy."""
-    if len(buffer) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.frombuffer(buffer, dtype=np.int64)
 
 
 def biadjacency(graph: "BipartiteGraph") -> "sp.csr_matrix":
@@ -71,8 +50,6 @@ def biadjacency(graph: "BipartiteGraph") -> "sp.csr_matrix":
     ``A.data[k]`` corresponds to ``graph.edge_at(k)`` whenever the data
     array is aligned with ``A.indices`` (it is, by construction).
     """
-    if sp is None:
-        raise RuntimeError("scipy is not available; use the reference paths")
     indptr_l, indices_l, _, _ = graph.csr_buffers()
     return sp.csr_matrix(
         (
@@ -110,8 +87,8 @@ def pair_work(graph: "BipartiteGraph", side: int = LEFT) -> int:
     ``M = A @ A.T`` touches each right vertex's neighbor list once per
     neighbor, so the work (and an upper bound on ``M``'s stored entry
     count) is ``sum_v d(v)^2`` over the *opposite* side's degrees.  Pure
-    Python over the cached degree lists — usable even without scipy,
-    which is what lets the service planner price the fast path from a
+    Python over the cached degree lists — no matrix is built, which is
+    what lets the service planner price the fast path from a
     :class:`~repro.service.planner.GraphProfile`.
     """
     if side == LEFT:
@@ -154,44 +131,28 @@ def overlap_histogram(graph: "BipartiteGraph", side: int = LEFT) -> dict[int, in
     closed form is ``sum(count * C(m, q))`` over this histogram, so the
     incremental and from-scratch paths share one data shape.
 
-    With scipy present the histogram is a ``bincount`` over the pair
-    matrix's stored entries minus the diagonal; otherwise a pure-Python
-    wedge walk (centers on the opposite side) produces the same counts.
+    The histogram is a ``bincount`` over the pair matrix's stored
+    entries minus the diagonal.
     """
     if side == LEFT:
-        centers = range(graph.n_right)
-        row_of = graph.row_right
         degrees = graph.degrees_left
     elif side == RIGHT:
-        centers = range(graph.n_left)
-        row_of = graph.row_left
         degrees = graph.degrees_right
     else:
         raise ValueError("side must be LEFT (0) or RIGHT (1)")
-    if sp is not None:
-        pairs = pair_matrix(graph, side)
-        counts = np.bincount(pairs.data) if pairs.data.size else np.zeros(1, np.int64)
-        histogram = {
-            int(m): int(c) for m, c in enumerate(counts) if c and m >= 1
-        }
-        # Stored diagonal entries are the degrees (only d >= 1 vertices
-        # have a stored entry); strip them, then halve the symmetry.
-        for d in degrees():
-            if d >= 1:
-                histogram[d] -= 1
-                if not histogram[d]:
-                    del histogram[d]
-        return {m: c // 2 for m, c in histogram.items()}
-    from collections import Counter
-
-    pair_counts: "Counter[tuple[int, int]]" = Counter()
-    for center in centers:
-        row = row_of(center)
-        for i, a in enumerate(row):
-            for b in row[i + 1 :]:
-                pair_counts[(a, b)] += 1
-    histogram = Counter(pair_counts.values())
-    return dict(histogram)
+    pairs = pair_matrix(graph, side)
+    counts = np.bincount(pairs.data) if pairs.data.size else np.zeros(1, np.int64)
+    histogram = {
+        int(m): int(c) for m, c in enumerate(counts) if c and m >= 1
+    }
+    # Stored diagonal entries are the degrees (only d >= 1 vertices
+    # have a stored entry); strip them, then halve the symmetry.
+    for d in degrees():
+        if d >= 1:
+            histogram[d] -= 1
+            if not histogram[d]:
+                del histogram[d]
+    return {m: c // 2 for m, c in histogram.items()}
 
 
 def histogram_binomial_fold(histogram: dict[int, int], k: int) -> int:

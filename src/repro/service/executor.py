@@ -856,8 +856,11 @@ class ServiceExecutor:
         Pinned to the record's version: if the live state has already
         advanced (a mutation landed while this request waited in the
         queue), the maintained totals describe a *newer* graph than the
-        cache key names, so the answer falls back to this version's
-        engine snapshot instead.
+        cache key names, so the answer is counted on this version's own
+        graph instead.  That record is retired: its pool, if any, was
+        closed by the mutation, and a pool opened on it now would never
+        be closed, so the count runs in-process on its snapshot engine,
+        or on a throwaway engine over its view when it has none.
         """
         state = registered.state
         try:
@@ -868,15 +871,9 @@ class ServiceExecutor:
             return value, {"maintained": True}
         except StaleVersion:
             self._incr("service.stale_totals_fallbacks")
-            self._ensure_snapshot(registered)
-            value = registered.engine.count_single(
-                query.p,
-                query.q,
-                use_core=registered.pool is None,
-                workers=self.engine_workers,
-                pool=registered.pool,
-                obs=self._obs,
-                trace=trace,
+            engine = registered.engine or EPivoter(registered.view)
+            value = engine.count_single(
+                query.p, query.q, obs=self._obs, trace=trace
             )
             return value, {"maintained": False}
 

@@ -200,15 +200,15 @@ def _matrix_plan(
     """A ``matrix`` plan for this shape, or None when it does not apply.
 
     Applies when the shape has a closed form (``min(p, q) <= 2`` beyond
-    stars, or (3, 3)), scipy is importable, the pair matrix is
+    stars, or (3, 3)), the pair matrix is
     affordable (``pair_work`` under ``_MATRIX_MAX_PAIR_WORK`` — the
     memory guard for a too-dense ``M``), and the predicted time fits the
     deadline share.  Star shapes are left to the ``stars`` plan, which
     needs no matrix at all.
     """
-    from repro.core.matrix import matrix_available, matrix_supported
+    from repro.core.matrix import matrix_supported
 
-    if min(p, q) == 1 or not matrix_supported(p, q) or not matrix_available():
+    if min(p, q) == 1 or not matrix_supported(p, q):
         return None
     if p == 2 and q != 2:
         work = profile.pair_work_left
@@ -473,15 +473,13 @@ def _forced_plan(
             )
         return QueryPlan(method="delta", exact=True, reason="forced")
     if method == "matrix":
-        from repro.core.matrix import matrix_available, matrix_supported
+        from repro.core.matrix import matrix_supported
 
         if not matrix_supported(p, q):
             raise ValueError(
                 "method 'matrix' has closed forms only for "
                 f"min(p, q) <= 2 and (3, 3); got ({p}, {q})"
             )
-        if not matrix_available():
-            raise ValueError("method 'matrix' requires scipy, which is unavailable")
         return QueryPlan(method="matrix", exact=True, reason="forced")
     if method == "adaptive":
         params = {

@@ -48,7 +48,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from repro.graph.bigraph import BipartiteGraph
+from repro.graph.intersect import as_int64
 
 if TYPE_CHECKING:  # imported for annotations only
     from repro.core.counts import BicliqueCounts
@@ -129,18 +132,10 @@ def _root_edge_weights(
     whole batch into two global ``searchsorted`` calls (the same
     offset-keyed membership trick the frontier kernels use), so weighing
     the ~E roots of a full count costs two vectorised passes instead of
-    2E Python-level bisections.  Falls back to the scalar loop when
-    numpy is unavailable.
+    2E Python-level bisections.
     """
-    try:
-        import numpy as np
-    except ImportError:
-        return {
-            edge: root_edge_weight(graph, edge[0], edge[1]) for edge in roots
-        }
     indptr_l, indices_l, indptr_r, indices_r = (
-        np.frombuffer(buf, dtype=np.int64)
-        for buf in graph.csr_buffers()
+        as_int64(buf) for buf in graph.csr_buffers()
     )
     stride = max(graph.n_left, graph.n_right, 1) + 1
     us = np.fromiter((e[0] for e in roots), dtype=np.int64, count=len(roots))

@@ -324,39 +324,47 @@ class TestDegreeCaches:
         assert g.degrees_right() is g.degrees_right()
 
 
-class TestNumpyBuildParity:
-    def test_numpy_and_python_builders_agree(self, rng):
-        pytest.importorskip("numpy")
-        from repro.graph.bigraph import _build_csr_numpy, _build_csr_python
+def assert_matches_edge_oracle(g, n_left, n_right, edges):
+    """Every CSR row of ``g`` against a ``sorted(set(edges))`` oracle."""
+    oracle = sorted(set(edges))
+    assert list(g.edges()) == oracle
+    assert g.num_edges == len(oracle)
+    for u in range(n_left):
+        assert g.neighbors_left(u) == tuple(v for x, v in oracle if x == u)
+    for v in range(n_right):
+        assert g.neighbors_right(v) == tuple(u for u, y in oracle if y == v)
 
-        for _ in range(20):
-            n_left = rng.randint(1, 10)
-            n_right = rng.randint(1, 10)
-            edges = list(
-                {
-                    (rng.randrange(n_left), rng.randrange(n_right))
-                    for _ in range(rng.randint(0, 40))
-                }
-            )
+
+class TestBuilderAgainstOracle:
+    def test_shuffled_duplicates_match_oracle(self, rng):
+        for _ in range(30):
+            n_left = rng.randint(1, 12)
+            n_right = rng.randint(1, 12)
+            edges = [
+                (rng.randrange(n_left), rng.randrange(n_right))
+                for _ in range(rng.randint(0, 60))
+            ]
+            # Duplicates on top of whatever the draw produced.
+            edges += edges[: len(edges) // 2]
             rng.shuffle(edges)
-            # Throw in duplicates: both builders must collapse them.
-            edges = edges + edges[: len(edges) // 2]
-            py = _build_csr_python(n_left, n_right, edges)
-            np_ = _build_csr_numpy(n_left, n_right, edges)
-            assert [list(b) for b in py] == [list(b) for b in np_]
+            g = BipartiteGraph(n_left, n_right, edges)
+            assert_matches_edge_oracle(g, n_left, n_right, edges)
 
-    def test_large_build_crosses_numpy_threshold(self):
-        pytest.importorskip("numpy")
-        from repro.graph.bigraph import _NUMPY_BUILD_THRESHOLD
+    def test_empty_edge_lists(self):
+        for n_left, n_right in [(0, 0), (3, 0), (0, 4), (3, 4)]:
+            g = BipartiteGraph(n_left, n_right, [])
+            assert g.shape == (n_left, n_right, 0)
+            assert_matches_edge_oracle(g, n_left, n_right, [])
+            assert g.degrees_left() == [0] * n_left
+            assert g.degrees_right() == [0] * n_right
 
-        n = 64
-        edges = [(u, v) for u in range(n) for v in range(n)]
-        assert len(edges) >= _NUMPY_BUILD_THRESHOLD
-        g = BipartiteGraph(n, n, edges)
-        assert g.num_edges == n * n
-        assert g.neighbors_left(0) == tuple(range(n))
-        small = BipartiteGraph(2, 2, [(0, 0), (1, 1)])
-        assert small.num_edges == 2
+    def test_isolated_vertices_on_both_sides(self):
+        # Left 0 and 3, right 1 and 4 touch no edge.
+        edges = [(2, 3), (1, 0), (2, 0), (1, 2), (2, 3), (1, 0)]
+        g = BipartiteGraph(4, 5, edges)
+        assert_matches_edge_oracle(g, 4, 5, edges)
+        assert g.degrees_left() == [0, 2, 2, 0]
+        assert g.degrees_right() == [2, 0, 1, 1, 0]
 
 
 class TestContentFingerprint:

@@ -15,7 +15,6 @@ from repro.core.epivoter import count_single
 from repro.core.matrix import (
     MATRIX_MAX_P,
     MATRIX_MAX_Q,
-    matrix_available,
     matrix_count_all,
     matrix_count_single,
     matrix_supported,
@@ -31,7 +30,6 @@ SMALL_CELLS = [(p, q) for p in range(1, 4) for q in range(1, 4)]
 
 class TestSupportMatrix:
     def test_supported_shapes(self):
-        assert matrix_available()
         for p, q in SMALL_CELLS:
             assert matrix_supported(p, q)
         assert matrix_supported(2, 50) and matrix_supported(50, 2)

@@ -16,6 +16,7 @@ import pytest
 from repro.core.epivoter import EPivoter
 from repro.graph.bigraph import BipartiteGraph
 from repro.obs import MetricsRegistry
+from repro.obs.trace import NULL_TRACE
 from repro.service.cache import ResultCache
 from repro.service.cluster import (
     ClusterExecutor,
@@ -168,6 +169,57 @@ class TestExecutorMutate:
                     expect = EPivoter(rebuilt).count_single(p, q, workers=workers)
                     assert result["value"] == expect
         finally:
+            executor.shutdown(save_cache=False)
+
+    @pytest.mark.parametrize("snapshot", [True, False], ids=["snapshot", "no_snapshot"])
+    def test_stale_delta_read_answers_its_own_version(self, rng, snapshot):
+        """A delta read admitted at version n that runs after a PATCH
+        answers version n's exact count, without touching the retired
+        record's closed pool and without opening a pool on it."""
+        executor = ServiceExecutor(threads=1, engine_workers=2)
+        release = threading.Event()
+        try:
+            graph = make_graph(rng)
+            executor.register(graph, name="g")
+            if not snapshot:
+                # A mutated version has no engine snapshot until a plan
+                # needs one.
+                adds, removes = flip_edge(graph)
+                executor.mutate("g", add_edges=adds, remove_edges=removes)
+            record = executor.graphs()["g"]
+            assert (record.engine is not None) == snapshot
+            assert (record.pool is not None) == snapshot
+            expected = EPivoter(record.view).count_single(2, 2)
+
+            # Hold the only worker thread so the read is admitted against
+            # `record` and still waits in the queue when the PATCH lands.
+            held = threading.Event()
+            run_plan = executor._execute_plan
+
+            def hold_first(plan, query, registered, trace=NULL_TRACE):
+                if query.p == 1:
+                    held.set()
+                    release.wait(30)
+                return run_plan(plan, query, registered, trace=trace)
+
+            executor._execute_plan = hold_first
+            blocker = executor.submit(Query(graph_id="g", kind="count", p=1, q=1))
+            assert held.wait(30)
+            read = executor.submit(
+                Query(graph_id="g", kind="count", p=2, q=2, method="delta")
+            )
+            executor.mutate("g", add_edges=[absent_edge(record.view)])
+            assert executor.graphs()["g"] is not record
+            release.set()
+            blocker.result(timeout=60)
+            result = read.result(timeout=60)
+            assert result["value"] == expected
+            assert result["maintained"] is False
+            assert result["fingerprint"] == record.fingerprint
+            if not snapshot:
+                assert record.pool is None and record.engine is None
+        finally:
+            release.set()
             executor.shutdown(save_cache=False)
 
     def test_compaction_resets_overlay_and_counts(self, rng):

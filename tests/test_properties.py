@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from repro.core.zigzag import star_counts
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.core_decomposition import alpha_beta_core
+from repro.utils.combinatorics import binomial
 
 SETTINGS = settings(
     max_examples=40,
@@ -37,11 +40,23 @@ def bigraphs(draw, max_left: int = 6, max_right: int = 6):
 
 class TestEPivoterProperties:
     @SETTINGS
-    @given(bigraphs())
-    def test_matches_brute_force(self, g):
+    @given(bigraphs(), st.sets(st.integers(0, 5)))
+    def test_matches_brute_force(self, g, region):
         assert count_all(g, g.n_left, g.n_right) == count_all_bicliques_brute(
             g, g.n_left, g.n_right
         )
+        # With a left region the vertex-list walk counts exactly the
+        # bicliques whose minimal left vertex (degree ordering) is in it.
+        ordered, _, _ = g.degree_ordered()
+        expected = BicliqueCounts(g.n_left, g.n_right)
+        for p in range(1, g.n_left + 1):
+            for left in combinations(range(g.n_left), p):
+                if left[0] in region:
+                    c = len(ordered.common_neighbors_of_left(left))
+                    for q in range(1, min(g.n_right, c) + 1):
+                        expected.add(p, q, binomial(c, q))
+        walk = EPivoter(ordered, mode="scalar")
+        assert walk.count_all(g.n_left, g.n_right, left_region=region) == expected
 
     @SETTINGS
     @given(bigraphs(), st.integers(1, 4), st.integers(1, 4))

@@ -453,6 +453,39 @@ class TestObservabilityEndpoints:
         assert not errors
 
 
+class TestKeepAlive:
+    def test_kept_alive_round_trips_do_not_stall(self, service, graph):
+        """One connection, many requests: each response must arrive in
+        one piece.  Headers and body sent apart make the body wait for
+        the client's delayed ACK, ~40 ms per round trip."""
+        import http.client
+        from urllib.parse import urlsplit
+
+        base, _executor, _obs = service
+        post(base, "/v1/graphs", graph_payload(graph, "g"))
+        url = urlsplit(base)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=60)
+        body = json.dumps({"graph": "g", "p": 2, "q": 2}).encode()
+        headers = {"Content-Type": "application/json"}
+        round_trips = []
+        try:
+            for i in range(12):
+                started = time.perf_counter()
+                if i % 2:
+                    connection.request("GET", "/healthz")
+                else:
+                    connection.request("POST", "/v1/count", body=body, headers=headers)
+                response = connection.getresponse()
+                assert response.status == 200
+                json.loads(response.read())
+                round_trips.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        round_trips.sort()
+        median_ms = 1000.0 * round_trips[len(round_trips) // 2]
+        assert median_ms < 20.0, f"median kept-alive round trip {median_ms:.1f} ms"
+
+
 def patch(base: str, path: str, body: dict) -> tuple[int, dict]:
     request = urllib.request.Request(
         base + path,
