@@ -4,7 +4,9 @@ Starts a real ``repro-biclique serve`` subprocess on a synthetic
 dataset, exercises every endpoint with urllib, and asserts the served
 counts equal the golden values pinned in ``tests/test_golden_counts.py``
 — the same numbers the tier-1 suite holds the engines to, now checked
-through planner, executor, cache, and HTTP socket.
+through planner, executor, cache, and HTTP socket.  The server runs a
+2-process engine pool; one of its workers is SIGKILLed mid-run and the
+next exact count must still be served, exactly, by a restarted pool.
 
 Run from the repository root:
 
@@ -14,7 +16,9 @@ Run from the repository root:
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
 import subprocess
 import sys
 import urllib.error
@@ -78,6 +82,25 @@ def check_prometheus(text: str) -> None:
         )
 
 
+def engine_worker_pid(server_pid: int) -> int:
+    """One engine pool worker: a child of the server process that is
+    not the multiprocessing resource tracker.
+
+    ``/proc/<pid>/task/<tid>/children`` lists the children each *thread*
+    forked, and the pool forks from a request thread, so every task of
+    the server is scanned.
+    """
+    children = []
+    for tid in os.listdir(f"/proc/{server_pid}/task"):
+        with open(f"/proc/{server_pid}/task/{tid}/children") as fh:
+            children.extend(int(pid) for pid in fh.read().split())
+    for pid in children:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            if b"resource_tracker" not in fh.read():
+                return pid
+    raise AssertionError(f"no engine worker among children {children}")
+
+
 def main() -> int:
     from tests.test_golden_counts import GOLDEN
 
@@ -86,6 +109,7 @@ def main() -> int:
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--dataset", DATASET, "--port", "0", "--threads", "2",
+            "--engine-workers", "2",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
@@ -117,6 +141,21 @@ def main() -> int:
             )
             print(f"count({p},{q}) = {body['value']} (golden) "
                   f"in {body['elapsed_ms']}ms")
+
+        # A dead engine worker costs one pool restart, not a 500: the
+        # next uncached EPivoter count reruns on fresh workers, exactly.
+        query = {"graph": DATASET, "p": 3, "q": 3, "method": "epivoter"}
+        status, body = post(base, "/v1/count", query)  # starts the pool
+        assert status == 200 and body["value"] == golden[(3, 3)], body
+        victim = engine_worker_pid(proc.pid)
+        os.kill(victim, signal.SIGKILL)
+        query = {"graph": DATASET, "p": 3, "q": 4, "method": "epivoter"}
+        status, body = post(base, "/v1/count", query)
+        assert status == 200, body
+        assert body["cached"] is False and body["method"] == "epivoter", body
+        assert body["value"] == golden[(3, 4)], body
+        print(f"killed engine worker {victim}; count(3,4) = {body['value']} "
+              "(golden) after the pool restart")
 
         # A repeat is served from the cache.
         status, body = post(base, "/v1/count", {"graph": DATASET, "p": 2, "q": 2})
@@ -188,6 +227,7 @@ def main() -> int:
         assert body["cache"]["hits"] >= 1, body["cache"]
         assert counters["service.http_status.2xx"] >= 1, counters
         assert counters["service.http_status.4xx"] >= 2, counters
+        assert counters["parallel.pool_restarts"] == 1, counters
         print("metrics OK:", {
             name: value for name, value in sorted(counters.items())
             if name.startswith("service.")
@@ -211,7 +251,9 @@ def main() -> int:
         print("service smoke OK")
         return 0
     finally:
-        proc.terminate()
+        # SIGINT runs the server's clean shutdown, which closes the
+        # engine pool; SIGTERM would orphan its worker processes.
+        proc.send_signal(signal.SIGINT)
         try:
             proc.wait(timeout=15)
         except subprocess.TimeoutExpired:

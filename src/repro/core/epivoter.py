@@ -56,14 +56,15 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACE
 from repro.utils.combinatorics import binomial
 from repro.utils.parallel import (
-    CHUNKS_PER_WORKER,
+    RANGES_PER_WORKER,
     add_worker_warmup,
-    chunk_root_edges,
     merge_counts,
     merge_local_counts,
     resolve_workers,
+    root_edge_weights,
     run_chunked,
     split_worker_results,
+    weighted_ranges,
     worker_cache,
     worker_graph,
     worker_warmup_seconds,
@@ -105,6 +106,11 @@ _DEADLINE_CHECK_MASK = 255
 # failed or targeted call can never poison a later one.
 Bounds = "tuple[int, int, int, int] | None"
 
+# A counting job, shipped to chunk workers: ``("all", max_p, max_q)``
+# fills a count matrix, ``("single", p, q)`` sums one cell, and
+# ``("local", pairs)`` accumulates per-vertex counts for every pair.
+Job = "tuple"
+
 #: ``mode="auto"`` picks the frontier engine only when the graph is big
 #: enough for batching to amortise the numpy call overhead; below this
 #: many edges the vertex-list walk wins outright.
@@ -136,9 +142,12 @@ class EPivoter:
         vertex identities.
 
     All counting entry points accept ``workers``: ``None``/``1`` run
-    serially in-process, ``N > 1`` fan the root edges out over ``N``
-    worker processes (``0`` = one per CPU).  Parallel results equal the
-    serial ones cell-for-cell.
+    serially in-process, ``N > 1`` cut the root edges into contiguous
+    weighted ranges (:func:`repro.utils.parallel.weighted_ranges`) and
+    fan them out over ``N`` worker processes (``0`` = one per CPU).
+    Parallel results equal the serial ones cell-for-cell.  The cut of
+    the full edge set depends only on the graph, so it is computed once
+    per engine and reused by every later fan-out.
     """
 
     def __init__(
@@ -159,6 +168,7 @@ class EPivoter:
         self._adj_left_cache: "list[set[int]] | None" = None
         self._adj_right_cache: "list[set[int]] | None" = None
         self._frontier_graph = None
+        self._cuts: "dict[int, list[tuple[int, int, int]]]" = {}
 
     # Adjacency sets are the vertex-list walk's working representation;
     # built lazily so frontier-only engines skip the O(n + m) set build.
@@ -188,6 +198,21 @@ class EPivoter:
             return True
         return self.graph.num_edges >= _FRONTIER_AUTO_MIN_EDGES
 
+    def root_ranges(self, n_ranges: int) -> "list[tuple[int, int, int]]":
+        """The weighted cut of every root edge into ``n_ranges`` ranges.
+
+        ``(start, stop, weight)`` edge-id ranges from
+        :func:`~repro.utils.parallel.weighted_ranges`, memoised per
+        ``n_ranges``: the cut depends only on the graph, so worker
+        fan-outs and the cluster coordinator's scatter reuse it across
+        queries instead of re-weighing every root.
+        """
+        cut = self._cuts.get(n_ranges)
+        if cut is None:
+            cut = weighted_ranges(root_edge_weights(self.graph), n_ranges)
+            self._cuts[n_ranges] = cut
+        return cut
+
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
@@ -215,7 +240,7 @@ class EPivoter:
         lies in the region, i.e. counts only the bicliques whose minimal
         left vertex (degree ordering) is in the region — the attribution
         rule of the hybrid algorithm (Section 5).  Root-edge attribution
-        is also what makes ``workers`` sound: each process owns a chunk of
+        is also what makes ``workers`` sound: each process owns a range of
         roots, and no biclique is counted under two roots.
 
         ``obs`` collects engine counters (nodes expanded, prune hits per
@@ -227,39 +252,13 @@ class EPivoter:
             max_p = max(self.graph.degrees_right(), default=1)
         if max_q is None:
             max_q = max(self.graph.degrees_left(), default=1)
-        max_p = max(1, max_p)
-        max_q = max(1, max_q)
-        bounds = (max_p, max_q, 1, 1)
-        track = obs is not None and obs.enabled
-
-        n_workers = resolve_workers(workers)
-        if pool is not None:
-            n_workers = max(n_workers, getattr(pool, "max_workers", 1))
-        if n_workers > 1:
-            chunks = self._root_chunks(n_workers, left_region)
-            if len(chunks) > 1:
-                if track:
-                    obs.gauge_max("parallel.workers", n_workers)
-                    obs.gauge_max("parallel.chunks", len(chunks))
-                payloads = [
-                    (self.pivot, self.mode, max_p, max_q, chunk, track)
-                    for chunk in chunks
-                ]
-                parts = run_chunked(
-                    _count_all_chunk, payloads, n_workers, graph=self.graph,
-                    obs=obs, pool=pool,
-                )
-                return merge_counts(split_worker_results(parts, obs))
-
-        counts = BicliqueCounts(max_p, max_q)
-        self._run(
-            _matrix_visitor(counts, max_p, max_q),
-            left_region=left_region,
-            bounds=bounds,
-            obs=obs,
-            heartbeat=heartbeat,
+        roots = None
+        if left_region is not None:
+            roots = [(u, v) for u, v in self.graph.edges() if u in left_region]
+        return self._fan_out(
+            ("all", max(1, max_p), max(1, max_q)), roots, workers, obs,
+            pool=pool, heartbeat=heartbeat,
         )
-        return counts
 
     def count_single(
         self,
@@ -281,10 +280,11 @@ class EPivoter:
 
         ``node_budget`` caps the expanded search nodes and ``time_budget``
         the wall-clock seconds; exceeding either raises
-        :class:`CountBudgetExceeded`.  On parallel runs each worker
-        applies the budgets to its own chunk traversal (the first worker
-        to trip re-raises in the coordinator), so a blown budget surfaces
-        after at most one chunk's worth of overshoot.
+        :class:`CountBudgetExceeded`.  The time budget becomes one
+        absolute deadline at the call, shared by every chunk of a
+        parallel run, so the whole count stops once it passes (plus at
+        most one frontier batch or deadline poll per running worker);
+        the node budget applies to each chunk's traversal.
 
         ``pool`` is a :class:`repro.utils.parallel.GraphPool` already
         holding *this engine's* graph: the service executor registers a
@@ -300,15 +300,12 @@ class EPivoter:
                 "pool reuse requires use_core=False: the pool holds the "
                 "engine's full graph, not the per-query core"
             )
-        track = obs is not None and obs.enabled
-        deadline = (
-            time.monotonic() + time_budget if time_budget is not None else None
-        )
+        deadline = _deadline(time_budget)
         engine = self
         if use_core:
             with trace.span("core_reduce") as sp:
                 core, _, _ = core_for_biclique(self.graph, p, q)
-                if track:
+                if obs is not None and obs.enabled:
                     obs.gauge_max("epivoter.core_left", core.n_left)
                     obs.gauge_max("epivoter.core_right", core.n_right)
                     obs.gauge_max("epivoter.core_edges", core.num_edges)
@@ -317,46 +314,11 @@ class EPivoter:
                 if core.num_edges == 0:
                     return 0
                 engine = EPivoter(core, pivot=self.pivot, mode=self.mode)
-
-        n_workers = resolve_workers(workers)
-        if pool is not None:
-            n_workers = max(n_workers, getattr(pool, "max_workers", 1))
-        if n_workers > 1:
-            chunks = engine._root_chunks(n_workers, None)
-            if len(chunks) > 1:
-                if track:
-                    obs.gauge_max("parallel.workers", n_workers)
-                    obs.gauge_max("parallel.chunks", len(chunks))
-                payloads = [
-                    (engine.pivot, engine.mode, p, q, chunk, track,
-                     node_budget, time_budget)
-                    for chunk in chunks
-                ]
-                with trace.span(
-                    "traverse", workers=n_workers, chunks=len(chunks)
-                ):
-                    parts = run_chunked(
-                        _count_single_chunk,
-                        payloads,
-                        n_workers,
-                        graph=engine.graph,
-                        obs=obs,
-                        pool=pool,
-                    )
-                    return sum(split_worker_results(parts, obs))
-
-        visit, box = _single_cell_visitor(p, q)
-        with trace.span("traverse", workers=1):
-            engine._run(
-                visit,
-                bounds=(p, q, p, q),
-                obs=obs,
-                heartbeat=heartbeat,
-                node_budget=node_budget,
-                deadline=deadline,
-                trace=trace,
-            )
-        return box[0]
+        return engine._fan_out(
+            ("single", p, q), None, workers, obs, pool=pool,
+            heartbeat=heartbeat, node_budget=node_budget, deadline=deadline,
+            trace=trace,
+        )
 
     def count_single_roots(
         self,
@@ -374,61 +336,21 @@ class EPivoter:
 
         The partial-count primitive behind cluster shards: every
         (p, q)-biclique is counted exactly once across any partition of
-        the full edge set (the PR 1 root-edge fan-out argument), so
-        summing ``count_single_roots`` over disjoint root ranges equals
+        the full edge set (the root-edge fan-out argument), so summing
+        ``count_single_roots`` over disjoint root ranges equals
         :meth:`count_single` on the whole graph, bit for bit.  No core
         reduction is applied — the roots are ids into *this* graph.
+        Budgets behave as in :meth:`count_single`.
         """
         if p < 1 or q < 1:
             raise ValueError("p and q must be positive")
         if not roots:
             return 0
-        track = obs is not None and obs.enabled
-        deadline = (
-            time.monotonic() + time_budget if time_budget is not None else None
+        return self._fan_out(
+            ("single", p, q), list(roots), workers, obs, pool=pool,
+            node_budget=node_budget, deadline=_deadline(time_budget),
+            trace=trace,
         )
-        n_workers = resolve_workers(workers)
-        if pool is not None:
-            n_workers = max(n_workers, getattr(pool, "max_workers", 1))
-        if n_workers > 1:
-            chunks = chunk_root_edges(
-                self.graph, roots, n_workers * CHUNKS_PER_WORKER
-            )
-            if len(chunks) > 1:
-                if track:
-                    obs.gauge_max("parallel.workers", n_workers)
-                    obs.gauge_max("parallel.chunks", len(chunks))
-                payloads = [
-                    (self.pivot, self.mode, p, q, chunk, track,
-                     node_budget, time_budget)
-                    for chunk in chunks
-                ]
-                with trace.span(
-                    "traverse", workers=n_workers, chunks=len(chunks),
-                    roots=len(roots),
-                ):
-                    parts = run_chunked(
-                        _count_single_chunk,
-                        payloads,
-                        n_workers,
-                        graph=self.graph,
-                        obs=obs,
-                        pool=pool,
-                    )
-                    return sum(split_worker_results(parts, obs))
-
-        visit, box = _single_cell_visitor(p, q)
-        with trace.span("traverse", workers=1, roots=len(roots)):
-            self._run(
-                visit,
-                bounds=(p, q, p, q),
-                roots=roots,
-                obs=obs,
-                node_budget=node_budget,
-                deadline=deadline,
-                trace=trace,
-            )
-        return box[0]
 
     def count_local(
         self,
@@ -468,70 +390,116 @@ class EPivoter:
         ``node_budget`` / ``time_budget`` bound the traversal exactly
         like :meth:`count_single`'s budgets do, so the service layer can
         bound local-count fan-outs too; exceeding either raises
-        :class:`CountBudgetExceeded` (per chunk on parallel runs).
+        :class:`CountBudgetExceeded`.
         """
         if not pairs:
             raise ValueError("pairs must be non-empty")
         if any(p < 1 or q < 1 for p, q in pairs):
             raise ValueError("p and q must be positive")
-        track = obs is not None and obs.enabled
-        deadline = (
-            time.monotonic() + time_budget if time_budget is not None else None
+        return self._fan_out(
+            ("local", tuple(pairs)), None, workers, obs,
+            node_budget=node_budget, deadline=_deadline(time_budget),
         )
 
+    # ------------------------------------------------------------------
+    # The one fan-out: cut the roots, count the ranges, merge exactly
+    # ------------------------------------------------------------------
+
+    def _fan_out(
+        self,
+        job: Job,
+        roots: "list[tuple[int, int]] | None",
+        workers: "int | None",
+        obs: "MetricsRegistry | None",
+        pool: "object | None" = None,
+        heartbeat: "Heartbeat | None" = None,
+        node_budget: "int | None" = None,
+        deadline: "float | None" = None,
+        trace: "Trace" = NULL_TRACE,
+    ):
+        """Run ``job`` over ``roots`` (default: every edge), serially or
+        as weighted root ranges over worker processes.
+
+        The ranges partition the roots, so the merged partials equal the
+        serial result exactly (Theorem 3.5).  ``deadline`` is absolute
+        (``time.monotonic()``) and ships unchanged to every chunk.
+        """
         n_workers = resolve_workers(workers)
-        if n_workers > 1:
-            chunks = self._root_chunks(n_workers, None)
-            if len(chunks) > 1:
-                if track:
-                    obs.gauge_max("parallel.workers", n_workers)
-                    obs.gauge_max("parallel.chunks", len(chunks))
-                payloads = [
-                    (self.pivot, self.mode, tuple(pairs), chunk, track,
-                     node_budget, time_budget)
-                    for chunk in chunks
-                ]
-                parts = run_chunked(
-                    _count_local_chunk,
-                    payloads,
-                    n_workers,
-                    graph=self.graph,
-                    obs=obs,
+        if pool is not None:
+            n_workers = max(n_workers, pool.max_workers)
+        n_ranges = n_workers * RANGES_PER_WORKER
+        if roots is None:
+            ranges = self.root_ranges(n_ranges) if n_workers > 1 else []
+            roots = list(self.graph.edges())
+        elif n_workers > 1:
+            ranges = weighted_ranges(root_edge_weights(self.graph, roots), n_ranges)
+        else:
+            ranges = []
+        if len(ranges) <= 1:
+            with trace.span("traverse", workers=1, roots=len(roots)):
+                return self._count(
+                    job, roots, obs=obs, heartbeat=heartbeat,
+                    node_budget=node_budget, deadline=deadline, trace=trace,
                 )
-                return merge_local_counts(split_worker_results(parts, obs))
-
-        g = self.graph
-        result = {
-            pair: ([0] * g.n_left, [0] * g.n_right) for pair in pairs
-        }
-        self._run_sets(
-            _local_leaf_visitor(result), bounds=_pairs_bounds(pairs), obs=obs,
-            node_budget=node_budget, deadline=deadline,
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # Size-level traversal (global counting)
-    # ------------------------------------------------------------------
-
-    def _root_chunks(
-        self, n_workers: int, left_region: "set[int] | None"
-    ) -> list[list[tuple[int, int]]]:
-        """Balanced root-edge chunks for ``n_workers`` processes."""
-        g = self.graph
-        roots = [
-            (u, v)
-            for u, v in g.edges()
-            if left_region is None or u in left_region
+        track = obs is not None and obs.enabled
+        if track:
+            obs.gauge_max("parallel.workers", n_workers)
+            obs.gauge_max("parallel.chunks", len(ranges))
+        payloads = [
+            (self.pivot, self.mode, job, roots[start:stop], track,
+             node_budget, deadline)
+            for start, stop, _ in ranges
         ]
-        return chunk_root_edges(g, roots, n_workers * CHUNKS_PER_WORKER)
+        with trace.span(
+            "traverse", workers=n_workers, chunks=len(ranges), roots=len(roots)
+        ):
+            parts = run_chunked(
+                _count_chunk, payloads, n_workers, self.graph, obs=obs,
+                pool=pool,
+            )
+            return _MERGE[job[0]](split_worker_results(parts, obs))
+
+    def _count(
+        self,
+        job: Job,
+        roots: "list[tuple[int, int]]",
+        obs: "MetricsRegistry | None" = None,
+        heartbeat: "Heartbeat | None" = None,
+        node_budget: "int | None" = None,
+        deadline: "float | None" = None,
+        trace=None,
+    ):
+        """Run one counting ``job`` over ``roots`` in this process."""
+        walk = {"obs": obs, "heartbeat": heartbeat,
+                "node_budget": node_budget, "deadline": deadline}
+        kind = job[0]
+        if kind == "local":
+            pairs = job[1]
+            g = self.graph
+            result = {pair: ([0] * g.n_left, [0] * g.n_right) for pair in pairs}
+            self._run_sets(
+                _local_leaf_visitor(result), roots, bounds=_pairs_bounds(pairs),
+                **walk,
+            )
+            return result
+        if kind == "all":
+            _, max_p, max_q = job
+            counts = BicliqueCounts(max_p, max_q)
+            self._run(
+                _matrix_visitor(counts, max_p, max_q), roots,
+                bounds=(max_p, max_q, 1, 1), trace=trace, **walk,
+            )
+            return counts
+        _, p, q = job
+        visit, box = _single_cell_visitor(p, q)
+        self._run(visit, roots, bounds=(p, q, p, q), trace=trace, **walk)
+        return box[0]
 
     def _run(
         self,
         visit: "Callable[[int, int, int, int, int], None]",
-        left_region: "set[int] | None" = None,
+        roots: "list[tuple[int, int]]",
         bounds: Bounds = None,
-        roots: "list[tuple[int, int]] | None" = None,
         obs: "MetricsRegistry | None" = None,
         heartbeat: "Heartbeat | None" = None,
         node_budget: "int | None" = None,
@@ -553,19 +521,11 @@ class EPivoter:
         if self._use_frontier():
             from repro.core import frontier
 
-            g = self.graph
-            if roots is None:
-                roots = g.edges()
-            root_list = [
-                (u, v)
-                for u, v in roots
-                if left_region is None or u in left_region
-            ]
             if self._frontier_graph is None:
-                self._frontier_graph = frontier.FrontierGraph(g)
+                self._frontier_graph = frontier.FrontierGraph(self.graph)
             frontier.run_frontier(
                 self._frontier_graph,
-                root_list,
+                roots,
                 visit,
                 bounds=bounds,
                 obs=obs,
@@ -577,9 +537,8 @@ class EPivoter:
             return
         self._run_sets(
             _size_leaves(visit),
-            left_region=left_region,
+            roots,
             bounds=bounds,
-            roots=roots,
             obs=obs,
             heartbeat=heartbeat,
             node_budget=node_budget,
@@ -618,9 +577,8 @@ class EPivoter:
     def _run_sets(
         self,
         on_leaf,
-        left_region: "set[int] | None" = None,
-        bounds: Bounds = None,
         roots: "list[tuple[int, int]] | None" = None,
+        bounds: Bounds = None,
         obs: "MetricsRegistry | None" = None,
         heartbeat: "Heartbeat | None" = None,
         node_budget: "int | None" = None,
@@ -634,11 +592,10 @@ class EPivoter:
         ``|S| >= extra_min``.  Size-level visitors ride along through
         :func:`_size_leaves`.
 
-        ``roots`` defaults to every edge of the graph; the parallel layer
-        passes per-chunk subsets, and ``left_region`` keeps only roots
-        whose left endpoint lies in it.  The walk is an explicit-stack
-        DFS — no Python recursion, so depth is bounded only by memory.
-        Leaf order differs from the recursive formulation, which is
+        ``roots`` defaults to every edge of the graph; the fan-out
+        passes per-chunk subsets.  The walk is an explicit-stack DFS —
+        no Python recursion, so depth is bounded only by memory.  Leaf
+        order differs from the recursive formulation, which is
         immaterial: every visitor accumulates by commutative
         (exact-integer) addition.
 
@@ -679,8 +636,6 @@ class EPivoter:
                 "deadline expired before the traversal started"
             )
         for root_u, root_v in roots:
-            if left_region is not None and root_u not in left_region:
-                continue
             n_roots += 1
             push(
                 (
@@ -1068,78 +1023,19 @@ def _pairs_bounds(pairs: "list[tuple[int, int]]") -> "tuple[int, int, int, int]"
     )
 
 
-def _count_all_chunk(payload) -> "tuple[BicliqueCounts, dict | None]":
-    """Worker: all-pairs counts over one chunk of root edges."""
-    pivot, mode, max_p, max_q, roots, collect = payload
-    engine = _chunk_engine(pivot, mode)
-    counts = BicliqueCounts(max_p, max_q)
-    obs = MetricsRegistry() if collect else None
-    start = time.perf_counter()
-    engine._run(
-        _matrix_visitor(counts, max_p, max_q),
-        roots=roots,
-        bounds=(max_p, max_q, 1, 1),
-        obs=obs,
-    )
-    stats = (
-        _worker_stats(obs, len(roots), time.perf_counter() - start)
-        if collect
-        else None
-    )
-    return counts, stats
+def _count_chunk(payload):
+    """Worker: one counting job over one root range, on the pool's graph.
 
-
-def _count_single_chunk(payload) -> "tuple[int, dict | None]":
-    """Worker: a single (p, q) count over one chunk of root edges.
-
-    The optional trailing budget fields arm per-chunk limits; a budget
-    trip raises :class:`CountBudgetExceeded`, which the executor
-    re-raises in the coordinator.
+    ``deadline`` is the caller's absolute ``time.monotonic()`` deadline
+    (shared by every chunk); a budget trip raises
+    :class:`CountBudgetExceeded`, which the pool re-raises in the caller.
     """
-    pivot, mode, p, q, roots, collect = payload[:6]
-    node_budget = payload[6] if len(payload) > 6 else None
-    time_budget = payload[7] if len(payload) > 7 else None
+    pivot, mode, job, roots, collect, node_budget, deadline = payload
     engine = _chunk_engine(pivot, mode)
-    visit, box = _single_cell_visitor(p, q)
     obs = MetricsRegistry() if collect else None
     start = time.perf_counter()
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
-    engine._run(
-        visit, bounds=(p, q, p, q), roots=roots, obs=obs,
-        node_budget=node_budget, deadline=deadline,
-    )
-    stats = (
-        _worker_stats(obs, len(roots), time.perf_counter() - start)
-        if collect
-        else None
-    )
-    return box[0], stats
-
-
-def _count_local_chunk(payload):
-    """Worker: per-vertex counts for many pairs over one root chunk.
-
-    Optional trailing budget fields arm per-chunk limits, mirroring
-    :func:`_count_single_chunk`.
-    """
-    pivot, mode, pairs, roots, collect = payload[:5]
-    node_budget = payload[5] if len(payload) > 5 else None
-    time_budget = payload[6] if len(payload) > 6 else None
-    engine = _chunk_engine(pivot, mode)
-    g = engine.graph
-    result = {
-        pair: ([0] * g.n_left, [0] * g.n_right) for pair in pairs
-    }
-    obs = MetricsRegistry() if collect else None
-    start = time.perf_counter()
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
-    engine._run_sets(
-        _local_leaf_visitor(result),
-        bounds=_pairs_bounds(list(pairs)),
-        roots=roots,
-        obs=obs,
-        node_budget=node_budget,
-        deadline=deadline,
+    result = engine._count(
+        job, roots, obs=obs, node_budget=node_budget, deadline=deadline
     )
     stats = (
         _worker_stats(obs, len(roots), time.perf_counter() - start)
@@ -1147,6 +1043,15 @@ def _count_local_chunk(payload):
         else None
     )
     return result, stats
+
+
+#: Exact merge of chunk partials, per job kind.
+_MERGE = {"all": merge_counts, "single": sum, "local": merge_local_counts}
+
+
+def _deadline(time_budget: "float | None") -> "float | None":
+    """An absolute ``time.monotonic()`` deadline ``time_budget`` from now."""
+    return None if time_budget is None else time.monotonic() + time_budget
 
 
 # ----------------------------------------------------------------------

@@ -62,10 +62,11 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACE, Trace
 from repro.utils.combinatorics import binomial
 from repro.utils.parallel import (
+    RANGES_PER_WORKER,
     GraphPool,
     resolve_workers,
-    split_evenly,
     split_worker_results,
+    weighted_ranges,
     worker_cache,
     worker_graph,
     worker_warmup_seconds,
@@ -621,7 +622,7 @@ class _Estimator:
     def _totals_pass(self, units, levels, max_level, pool, acct) -> np.ndarray:
         """Exact per-unit totals, serial or fanned out over the pool."""
         if pool is not None:
-            chunks = split_evenly(units, pool.max_workers * _CHUNKS_PER_WORKER)
+            chunks = _in_order_chunks(units, pool.max_workers)
             collect = self.obs.enabled
             if collect:
                 self.obs.gauge_max("parallel.chunks", len(chunks))
@@ -653,7 +654,7 @@ class _Estimator:
         ]
         hits_total = 0
         if pool is not None:
-            chunks = split_evenly(items, pool.max_workers * _CHUNKS_PER_WORKER)
+            chunks = _in_order_chunks(items, pool.max_workers)
             collect = self.obs.enabled
             payloads = [
                 (self.kind, self.h_max, max_level, levels, chunk, self.batch, collect)
@@ -680,9 +681,15 @@ class _Estimator:
         return results, hits_total
 
 
-#: Chunks per worker in the unit fan-out; more chunks than workers lets
-#: the pool rebalance when allocation concentrates on a few dense units.
-_CHUNKS_PER_WORKER = 4
+def _in_order_chunks(items: list, n_workers: int) -> list[list]:
+    """Contiguous unit-weight chunks of ``items`` for the pool fan-out.
+
+    Per-unit results are merged back in unit order, so the chunks must
+    preserve it; more chunks than workers lets the pool rebalance when
+    allocation concentrates on a few dense units.
+    """
+    cut = weighted_ranges([1] * len(items), n_workers * RANGES_PER_WORKER)
+    return [items[start:stop] for start, stop, _ in cut]
 
 
 class _ZigZag(_Estimator):

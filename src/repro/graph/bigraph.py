@@ -434,18 +434,6 @@ class BipartiteGraph:
         lo, hi = self._indptr_l[u], self._indptr_l[u + 1]
         return tuple(indices[bisect_right(indices, v, lo, hi) : hi])
 
-    def num_higher_neighbors_of_right(self, v: int, u: int) -> int:
-        """``|N^{>u}(v)|`` as a pure binary search (no slice materialised)."""
-        indices = self._indices_r
-        lo, hi = self._indptr_r[v], self._indptr_r[v + 1]
-        return hi - bisect_right(indices, u, lo, hi)
-
-    def num_higher_neighbors_of_left(self, u: int, v: int) -> int:
-        """``|N^{>v}(u)|`` as a pure binary search (no slice materialised)."""
-        indices = self._indices_l
-        lo, hi = self._indptr_l[u], self._indptr_l[u + 1]
-        return hi - bisect_right(indices, v, lo, hi)
-
     def common_neighbors_of_left(self, vertices: Iterable[int]) -> set[int]:
         """``N(S)`` for a set ``S`` of left vertices (right-side ids)."""
         from repro.graph.intersect import common_neighborhood

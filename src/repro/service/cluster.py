@@ -27,11 +27,12 @@ Exactness and failure semantics:
   all shards provably hold the same graph before a single query runs.
   Every shard request carries the fingerprint again; a mismatch is a
   hard 409, never a silently wrong merge.
-* The edge-id space is cut into ``len(shards) * RANGES_PER_SHARD``
-  contiguous ranges of near-equal *weight* (per-root candidate-pair
-  work via :func:`repro.utils.parallel.root_edge_weights`), so losing
-  a shard loses a re-scatterable set of small ranges, not half the
-  query.
+* The edge-id space is cut into ``len(shards) * RANGES_PER_WORKER``
+  contiguous ranges of near-equal *weight* by the same partitioner that
+  cuts local worker chunks (:func:`repro.utils.parallel.weighted_ranges`
+  over per-root candidate-pair work), memoised on each version's
+  engine, so losing a shard loses a re-scatterable set of small
+  ranges, not half the query.
 * A failed shard (connection refused/reset, timeout, 5xx) is marked
   unhealthy and its ranges are re-scattered across the survivors —
   still an exact merge.  When no survivor remains, or the remaining
@@ -56,10 +57,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from http.client import HTTPConnection, HTTPException
-from itertools import accumulate
 from typing import TYPE_CHECKING
 from urllib.parse import quote
 
@@ -75,7 +74,7 @@ from repro.service.executor import (
 )
 from repro.service.fingerprint import graph_fingerprint
 from repro.service.planner import NODES_PER_SECOND, QueryPlan
-from repro.utils.parallel import root_edge_weights
+from repro.utils.parallel import RANGES_PER_WORKER
 
 if TYPE_CHECKING:
     from repro.obs.trace import Trace
@@ -86,14 +85,7 @@ __all__ = [
     "ClusterMutationError",
     "ShardClient",
     "ClusterExecutor",
-    "weighted_ranges",
-    "RANGES_PER_SHARD",
 ]
-
-#: Scatter granularity: ranges per shard.  More than one so a dead
-#: shard's work re-scatters across *all* survivors in balanced pieces;
-#: small enough that per-range HTTP overhead stays negligible.
-RANGES_PER_SHARD = 4
 
 #: Minimum wall-clock seconds of deadline left for a re-scatter round
 #: to be worth attempting at all.
@@ -247,49 +239,13 @@ class ShardClient:
         }
 
 
-def weighted_ranges(
-    weights: "list[int]", n_ranges: int
-) -> "list[tuple[int, int, int]]":
-    """Cut ``range(len(weights))`` into contiguous near-equal-weight runs.
-
-    ``weights[i]`` is the traversal cost of edge id ``i``; every weight
-    is floored at 1 so zero-weight tails still spread across ranges.
-    Returns ``(start, stop, weight)`` triples covering ``[0, E)`` with
-    every range non-empty (``n_ranges`` is clamped to ``E``).
-    """
-    n_edges = len(weights)
-    if n_edges == 0:
-        return []
-    n_ranges = max(1, min(n_ranges, n_edges))
-    adjusted = [max(1, w) for w in weights]
-    prefix = list(accumulate(adjusted))
-    total = prefix[-1]
-    cuts = [0]
-    for k in range(1, n_ranges):
-        target = total * k / n_ranges
-        cut = bisect_left(prefix, target) + 1
-        # Keep every range non-empty: at least one edge behind this
-        # cut, and enough edges ahead for the remaining ranges.
-        cut = max(cuts[-1] + 1, min(cut, n_edges - (n_ranges - k)))
-        cuts.append(cut)
-    cuts.append(n_edges)
-    return [
-        (
-            cuts[i],
-            cuts[i + 1],
-            prefix[cuts[i + 1] - 1] - (prefix[cuts[i] - 1] if cuts[i] else 0),
-        )
-        for i in range(n_ranges)
-    ]
-
-
 class ClusterExecutor(ServiceExecutor):
     """A :class:`ServiceExecutor` that scatters exact counts to shards.
 
     Drop-in for the HTTP server: the public API, planner, cache,
     coalescing, and estimator paths are all inherited.  Only exact
     ``epivoter`` plans change execution: instead of running the local
-    engine, the coordinator scatters the graph's pre-cut weighted
+    engine, the coordinator scatters the engine's memoised weighted
     root-edge ranges across the shard fleet and sums the partials.
 
     The result cache needs no topology in its keys — an exact count is
@@ -303,12 +259,6 @@ class ClusterExecutor(ServiceExecutor):
             raise ValueError("a cluster needs at least one shard")
         super().__init__(**kwargs)
         self._shards = list(shards)
-        #: Pre-cut scatter ranges per graph name, pinned to the
-        #: fingerprint they were cut for: ``name -> (fingerprint,
-        #: [(start, stop, weight), ...])``.  A mutation advances the
-        #: serving fingerprint, so a stale cut can never scatter — the
-        #: lookup re-cuts from the post-mutation snapshot instead.
-        self._ranges: "dict[str, tuple[str, list[tuple[int, int, int]]]]" = {}
         # Deadline feasibility scales with the fleet (the planner prices
         # exact runs against nodes_per_second * shards).
         self._planner_overrides["shards"] = len(shards)
@@ -361,20 +311,11 @@ class ClusterExecutor(ServiceExecutor):
                     f"{str(document.get('fingerprint'))[:12]}… != coordinator "
                     f"{fingerprint[:12]}… for graph {name!r}"
                 )
-        weights = root_edge_weights(ordered, list(ordered.edges()))
-        self._ranges[name] = (
-            fingerprint,
-            weighted_ranges(weights, len(self._shards) * RANGES_PER_SHARD),
-        )
         # Register the client-id graph (not the ordered copy): the local
         # mutable base must share the shards' id space so PATCH batches
         # validate and apply identically on both sides.  Both hash to
         # the same fingerprint — degree ordering is deterministic.
         return super().register(graph, name=name)
-
-    def drop(self, name: str) -> bool:
-        self._ranges.pop(name, None)
-        return super().drop(name)
 
     # ------------------------------------------------------------------
     # Mutation: every shard first, unanimity-verified, then locally
@@ -489,21 +430,13 @@ class ClusterExecutor(ServiceExecutor):
         registered: RegisteredGraph,
         trace: "Trace",
     ) -> "tuple[int, dict]":
-        entry = self._ranges.get(registered.name)
-        if entry is None or entry[0] != registered.fingerprint:
-            # Registered pre-cluster (e.g. via super()) or mutated since
-            # the last cut: re-cut over this version's ordered snapshot.
-            if registered.graph is None:
-                self._ensure_snapshot(registered)
-            weights = root_edge_weights(
-                registered.graph, list(registered.graph.edges())
-            )
-            ranges = weighted_ranges(
-                weights, len(self._shards) * RANGES_PER_SHARD
-            )
-            self._ranges[registered.name] = (registered.fingerprint, ranges)
-        else:
-            ranges = entry[1]
+        # Each version's record has its own engine, so the engine's
+        # memoised cut is pinned to exactly this version's edge ids.
+        if registered.engine is None:
+            self._ensure_snapshot(registered)
+        ranges = registered.engine.root_ranges(
+            len(self._shards) * RANGES_PER_WORKER
+        )
         if not ranges:  # empty graph: nothing to scatter
             return 0, {"shards_used": 0}
         time_budget = plan.params.get("time_budget")

@@ -20,7 +20,7 @@ request                  condition                                   plan
 
 Cost inputs come from :class:`GraphProfile`, computed once at graph
 registration: edge count, max degrees, and ``root_cost`` — the summed
-root-edge weights of :func:`repro.utils.parallel.root_edge_weight`,
+root-edge weights of :func:`repro.utils.parallel.root_edge_weights`,
 i.e. the total first-level candidate-pair work of an EPivoter run, the
 same quantity the hybrid partitioner reasons with (Definition 5.1).
 Predicted runtimes divide these by calibratable throughput constants;
@@ -114,11 +114,9 @@ class GraphProfile:
         """Profile a **degree-ordered** graph (the executor orders first)."""
         from repro.graph.bigraph import LEFT, RIGHT
         from repro.graph.sparse import pair_work
-        from repro.utils.parallel import root_edge_weight
+        from repro.utils.parallel import root_edge_weights
 
-        root_cost = sum(
-            root_edge_weight(graph, u, v) for u, v in graph.edges()
-        )
+        root_cost = int(root_edge_weights(graph).sum())
         return cls(
             n_left=graph.n_left,
             n_right=graph.n_right,

@@ -3,12 +3,12 @@
 from repro.utils.combinatorics import binomial, binomial_row, falling_factorial
 from repro.utils.maxflow import DinicMaxFlow
 from repro.utils.parallel import (
-    chunk_root_edges,
     merge_counts,
     merge_local_counts,
     resolve_workers,
-    root_edge_weight,
+    root_edge_weights,
     run_chunked,
+    weighted_ranges,
 )
 from repro.utils.rng import as_generator, spawn
 from repro.utils.timer import Stopwatch, timed
@@ -22,10 +22,10 @@ __all__ = [
     "spawn",
     "Stopwatch",
     "timed",
-    "chunk_root_edges",
     "merge_counts",
     "merge_local_counts",
     "resolve_workers",
-    "root_edge_weight",
+    "root_edge_weights",
     "run_chunked",
+    "weighted_ranges",
 ]

@@ -28,6 +28,7 @@ from repro.service.fingerprint import cache_key
 from repro.service.mutation import StaleVersion, UnknownVertices
 from repro.service.planner import GraphProfile, plan_query
 from repro.service.server import create_server
+from repro.utils.parallel import RANGES_PER_WORKER
 
 from .conftest import random_bigraph
 
@@ -388,18 +389,24 @@ class TestClusterMutation:
         coordinator, _clients, _shards, _obs = cluster
         graph = make_graph(rng)
         coordinator.register(graph, name="g")
+        before = coordinator.graphs()["g"]
         coordinator.execute(
             Query(graph_id="g", kind="count", p=2, q=2, method="epivoter")
         )
-        fp_before, _ = coordinator._ranges["g"]
         adds, removes = flip_edge(graph)
         coordinator.mutate("g", add_edges=adds, remove_edges=removes)
-        coordinator.execute(
+        result = coordinator.execute(
             Query(graph_id="g", kind="count", p=2, q=2, method="epivoter")
         )
-        fp_after, _ = coordinator._ranges["g"]
-        assert fp_after != fp_before
-        assert fp_after == coordinator.graphs()["g"].fingerprint
+        after = coordinator.graphs()["g"]
+        assert after.fingerprint != before.fingerprint
+        # The cut is memoised on each version's own engine, so the
+        # post-mutation scatter cuts this version's edge ids afresh.
+        assert after.engine is not before.engine
+        ranges = after.engine.root_ranges(2 * RANGES_PER_WORKER)
+        assert ranges[-1][1] == after.graph.num_edges
+        assert ranges[-1][1] != before.graph.num_edges
+        assert result["value"] == EPivoter(after.graph).count_single(2, 2)
 
     def test_invalid_batch_never_reaches_shards(self, cluster, rng):
         coordinator, _clients, shards, _obs = cluster

@@ -10,23 +10,28 @@ on random graphs, bundled datasets, and every public entry point.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.clustering import hcc_profile
-from repro.core.epivoter import EPivoter, count_all, count_single
+from repro.core.epivoter import CountBudgetExceeded, EPivoter, count_all, count_single
 from repro.core.hybrid import hybrid_count_all
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.datasets import load_dataset
 from repro.obs import MetricsRegistry
+from repro.service.planner import GraphProfile
 from repro.utils.parallel import (
-    chunk_root_edges,
+    GraphPool,
     merge_counts,
     merge_local_counts,
     resolve_workers,
-    root_edge_weight,
+    root_edge_weights,
     run_chunked,
     split_worker_results,
+    weighted_ranges,
 )
 
 from .conftest import complete_bigraph, random_bigraph
@@ -51,35 +56,49 @@ class TestResolveWorkers:
 
 
 class TestChunking:
-    def test_chunks_partition_the_roots(self, rng):
-        for _ in range(10):
-            g = random_bigraph(rng, 7, 7, density=0.5)
-            ordered = g if g.is_degree_ordered() else g.degree_ordered()[0]
-            roots = list(ordered.edges())
-            chunks = chunk_root_edges(ordered, roots, 4)
-            flattened = [edge for chunk in chunks for edge in chunk]
-            assert sorted(flattened) == sorted(roots)
-            assert all(chunk for chunk in chunks)
+    """``weighted_ranges`` is the one cut of every fan-out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 50), max_size=60),
+        st.integers(1, 20),
+    )
+    def test_chunks_partition_the_roots(self, weights, n_ranges):
+        ranges = weighted_ranges(weights, n_ranges)
+        assert ranges == weighted_ranges(weights, n_ranges)  # deterministic
+        assert len(ranges) == min(n_ranges, len(weights))
+        # Contiguous, in order, non-empty, covering every index.
+        starts = [start for start, _, _ in ranges]
+        assert starts == ([0] + [stop for _, stop, _ in ranges])[: len(ranges)]
+        assert all(start < stop for start, stop, _ in ranges)
+        assert sum(stop - start for start, stop, _ in ranges) == len(weights)
+        # Each range reports its (floored-at-1) weight and stays within
+        # one item of an equal share.
+        floored = [max(1, w) for w in weights]
+        for start, stop, weight in ranges:
+            assert weight == sum(floored[start:stop])
+            assert weight <= sum(floored) / len(ranges) + max(floored)
 
     def test_chunking_is_deterministic(self, rng):
+        # The engine cuts its full edge set once and reuses the cut.
         g = random_bigraph(rng, 7, 7, density=0.5)
-        ordered = g if g.is_degree_ordered() else g.degree_ordered()[0]
-        roots = list(ordered.edges())
-        first = chunk_root_edges(ordered, roots, 3)
-        second = chunk_root_edges(ordered, roots, 3)
-        assert first == second
+        engine = EPivoter(g)
+        first = engine.root_ranges(3)
+        assert engine.root_ranges(3) is first
+        assert first == weighted_ranges(root_edge_weights(engine.graph), 3)
 
     def test_no_empty_chunks_when_roots_scarce(self):
         g = complete_bigraph(2, 2)
-        chunks = chunk_root_edges(g, list(g.edges()), 16)
-        assert all(chunk for chunk in chunks)
-        assert sum(len(c) for c in chunks) == g.num_edges
+        obs = MetricsRegistry()
+        assert count_all(g, workers=8, obs=obs)[2, 2] == 1
+        assert obs.gauges["parallel.chunks"] == g.num_edges
 
     def test_weights_are_nonnegative(self, rng):
         g = random_bigraph(rng, 6, 6, density=0.6)
         ordered = g if g.is_degree_ordered() else g.degree_ordered()[0]
-        for u, v in ordered.edges():
-            assert root_edge_weight(ordered, u, v) >= 0
+        weights = root_edge_weights(ordered)
+        assert (weights >= 0).all()
+        assert int(weights.sum()) == GraphProfile.from_graph(ordered).root_cost
 
 
 class TestMergeHelpers:
@@ -96,7 +115,8 @@ class TestMergeHelpers:
             merge_local_counts(parts)
 
     def test_run_chunked_serial_fallback(self):
-        assert run_chunked(lambda x: x * 2, [1, 2, 3], 1) == [2, 4, 6]
+        g = BipartiteGraph(1, 1, [(0, 0)])
+        assert run_chunked(lambda x: x * 2, [1, 2, 3], 1, g) == [2, 4, 6]
 
     def test_split_worker_results_without_registry(self):
         parts = [("a", {"wall_time": 0.1}), ("b", None)]
@@ -255,11 +275,20 @@ class TestDownstreamEquality:
 class TestGraphShipping:
     """The pool ships the graph once, not once per chunk (or per call)."""
 
+    @staticmethod
+    def _force(mode, monkeypatch):
+        """``"pickle"`` makes the shared-memory attempt fail, as on a
+        platform without a usable ``/dev/shm``."""
+        if mode == "pickle":
+            from multiprocessing import shared_memory
+
+            def _no_shm(*_args, **_kwargs):
+                raise OSError("no /dev/shm")
+
+            monkeypatch.setattr(shared_memory, "SharedMemory", _no_shm)
+
     def _run_with_mode(self, mode, monkeypatch):
-        if mode is None:
-            monkeypatch.delenv("REPRO_PARALLEL_SHIP", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PARALLEL_SHIP", mode)
+        self._force(mode, monkeypatch)
         graph = load_dataset("Github")
         obs = MetricsRegistry()
         engine = EPivoter(graph)
@@ -288,12 +317,9 @@ class TestGraphShipping:
 
     @pytest.mark.parametrize("mode", [None, "pickle"])
     def test_transports_agree_on_counts(self, mode, monkeypatch, rng):
-        if mode is None:
-            monkeypatch.delenv("REPRO_PARALLEL_SHIP", raising=False)
         g = random_bigraph(rng, max_left=12, max_right=12, density=0.5)
         serial = count_all(g, 4, 4)
-        if mode is not None:
-            monkeypatch.setenv("REPRO_PARALLEL_SHIP", mode)
+        self._force(mode, monkeypatch)
         parallel = count_all(g, 4, 4, workers=3)
         assert parallel == serial
 
@@ -317,6 +343,26 @@ class TestGraphShipping:
         assert seen == [(2, 2, 2), (2, 2, 2)]
         with pytest.raises(RuntimeError):
             par.worker_graph()
+
+
+class TestSharedDeadline:
+    def test_time_budget_is_one_deadline_across_chunks(self):
+        # One worker process runs the chunks one after another, so a
+        # per-chunk budget would restart the clock for every chunk and
+        # never trip; the shared deadline trips halfway through.
+        engine = EPivoter(load_dataset("Twitter"))
+        run = dict(use_core=False, workers=2)
+        with GraphPool(engine.graph, 1) as pool:
+            engine.count_single(3, 3, pool=pool, **run)  # warm the worker
+            unbudgeted = []
+            for _ in range(2):
+                start = time.perf_counter()
+                engine.count_single(3, 3, pool=pool, **run)
+                unbudgeted.append(time.perf_counter() - start)
+            with pytest.raises(CountBudgetExceeded):
+                engine.count_single(
+                    3, 3, pool=pool, time_budget=min(unbudgeted) / 2, **run
+                )
 
 
 def _probe_worker_graph(_payload):

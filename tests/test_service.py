@@ -7,6 +7,8 @@ can be made deterministic (events, stubbed engine runs).
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 
 import pytest
@@ -437,6 +439,24 @@ class TestExecutor:
             assert registered.pool is not None
             result = ex.execute(Query(registered.name, "count", 2, 2))
             assert result["value"] == count_single(graph, 2, 2)
+
+    def test_killed_pool_worker_is_replaced_exactly(self, rng):
+        graph = random_bigraph(rng, 12, 12, density=0.5)
+        with make_executor(engine_workers=2) as ex:
+            registered = ex.register(graph)
+            first = ex.execute(
+                Query(registered.name, "count", 2, 2, method="epivoter")
+            )
+            assert first["value"] == count_single(graph, 2, 2)
+            victim = next(iter(registered.pool._pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+            result = ex.execute(
+                Query(registered.name, "count", 3, 3, method="epivoter")
+            )
+            assert result["value"] == count_single(graph, 3, 3)
+            assert result["method"] == "epivoter"
+            assert counter(ex, "parallel.pool_restarts") == 1
 
     def test_shutdown_saves_cache(self, graph, tmp_path):
         path = str(tmp_path / "cache.json")
