@@ -7,6 +7,8 @@ counts equal the golden values pinned in ``tests/test_golden_counts.py``
 through planner, executor, cache, and HTTP socket.  The server runs a
 2-process engine pool; one of its workers is SIGKILLed mid-run and the
 next exact count must still be served, exactly, by a restarted pool.
+Finally the server is stopped with SIGTERM, and none of its engine
+workers may outlive it.
 
 Run from the repository root:
 
@@ -21,6 +23,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 
@@ -82,8 +85,8 @@ def check_prometheus(text: str) -> None:
         )
 
 
-def engine_worker_pid(server_pid: int) -> int:
-    """One engine pool worker: a child of the server process that is
+def engine_worker_pids(server_pid: int) -> list[int]:
+    """The engine pool workers: children of the server process that are
     not the multiprocessing resource tracker.
 
     ``/proc/<pid>/task/<tid>/children`` lists the children each *thread*
@@ -94,11 +97,23 @@ def engine_worker_pid(server_pid: int) -> int:
     for tid in os.listdir(f"/proc/{server_pid}/task"):
         with open(f"/proc/{server_pid}/task/{tid}/children") as fh:
             children.extend(int(pid) for pid in fh.read().split())
+    workers = []
     for pid in children:
         with open(f"/proc/{pid}/cmdline", "rb") as fh:
             if b"resource_tracker" not in fh.read():
-                return pid
-    raise AssertionError(f"no engine worker among children {children}")
+                workers.append(pid)
+    assert workers, f"no engine worker among children {children}"
+    return workers
+
+
+def running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie awaiting its reaper."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state != "Z"
 
 
 def main() -> int:
@@ -147,7 +162,7 @@ def main() -> int:
         query = {"graph": DATASET, "p": 3, "q": 3, "method": "epivoter"}
         status, body = post(base, "/v1/count", query)  # starts the pool
         assert status == 200 and body["value"] == golden[(3, 3)], body
-        victim = engine_worker_pid(proc.pid)
+        victim = engine_worker_pids(proc.pid)[0]
         os.kill(victim, signal.SIGKILL)
         query = {"graph": DATASET, "p": 3, "q": 4, "method": "epivoter"}
         status, body = post(base, "/v1/count", query)
@@ -248,16 +263,28 @@ def main() -> int:
         assert any(int(l.rsplit(" ", 1)[1]) > 0 for l in count_lines), count_lines
         assert "# TYPE service_http_latency_seconds histogram" in lines
         print(f"prometheus exposition OK ({len(lines)} lines)")
+
+        # SIGTERM takes the same clean shutdown as SIGINT: the server
+        # closes its engine pool, so no worker outlives it.
+        workers = engine_worker_pids(proc.pid)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0, proc.returncode
+        deadline = time.monotonic() + 10
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if running(pid)]
+        assert not survivors, f"engine workers {survivors} outlived SIGTERM"
+        print(f"SIGTERM stopped the server and its {len(workers)} engine workers")
         print("service smoke OK")
         return 0
     finally:
-        # SIGINT runs the server's clean shutdown, which closes the
-        # engine pool; SIGTERM would orphan its worker processes.
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        if proc.poll() is None:
+            # SIGINT runs the server's clean shutdown (as SIGTERM does).
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
 
 
 if __name__ == "__main__":

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.zigzag import _ZigZag, _ZigZagPP
+from repro.core.zigzag import _ENGINES, _denominator
 from repro.graph.bigraph import BipartiteGraph
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACE, Trace
-from repro.utils.combinatorics import binomial
 from repro.utils.rng import as_generator
 
 __all__ = ["AdaptiveEstimate", "adaptive_count"]
@@ -115,12 +114,9 @@ def adaptive_count(
     )
     rng = as_generator(seed)
     ordered = graph if graph.is_degree_ordered() else graph.degree_ordered()[0]
-    engine_cls = _ZigZag if estimator == "zigzag" else _ZigZagPP
-    level = min(p, q) - 1 if estimator == "zigzag" else min(p, q)
-    if estimator == "zigzag":
-        denominator = binomial(max(p, q) - 1, min(p, q) - 1)
-    else:
-        denominator = binomial(q, p) if p <= q else binomial(p - 1, q - 1)
+    engine_cls = _ENGINES[estimator]
+    level = min(p, q) - engine_cls.cell_offset
+    denominator = _denominator(engine_cls.kind, p, q)
 
     total_drawn = 0
     round_samples = initial_samples

@@ -399,12 +399,23 @@ def _root_batch(fg: FrontierGraph, roots) -> _Batch:
     )
 
 
+def _lap(trace: "Trace", name: str, since: float) -> float:
+    """Close a sub-span of ``frontier_expand`` begun at ``since``."""
+    now = time.perf_counter()
+    trace.add_span(name, now - since)
+    return now
+
+
 def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
-            tally: _Tally) -> "list[_Batch]":
+            tally: _Tally, trace: "Trace | None" = None) -> "list[_Batch]":
     """Expand one batch: prune, intersect, pick pivots, build children.
 
     Returns the child batches (at most one, possibly empty list); leaf
     and case-5 contributions go to ``sink``, counters to ``tally``.
+    ``trace`` (None when untraced) receives the ``intersect``,
+    ``pivot``, ``ranks`` and ``scatter`` sub-spans; the prune, leaf,
+    case-5 and pivot-branch sections stay in ``frontier_expand``'s
+    self time.
     """
     n = batch.size
     pl, hl, pr, hr = batch.pl, batch.hl, batch.pr, batch.hr
@@ -441,6 +452,8 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     nr = np.diff(aroff)
     tot_l = int(aloff[-1])
     tot_r = int(aroff[-1])
+    if trace is not None:
+        mark = time.perf_counter()
 
     # --- candidate-subgraph edges for the whole frontier: one batched
     #     kernel call resolves N(x) ∩ C_r for every (node, x in C_l).
@@ -466,6 +479,8 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     edges_per_node = np.bincount(e_node, minlength=k)
     rpos = aroff[e_node] + e_yloc  # flat right-arena position of each edge's y
     deg_r = np.bincount(rpos, minlength=tot_r)
+    if trace is not None:
+        mark = _lap(trace, "intersect", mark)
 
     # --- leaves: no candidate-subgraph edges; record in closed form
     leaf = np.nonzero(edges_per_node == 0)[0]
@@ -485,6 +500,8 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     live = np.nonzero(edges_per_node > 0)[0]
     if live.size == 0:
         return []
+    if trace is not None:
+        mark = time.perf_counter()
 
     # --- pivot per live node: first edge maximising (d(x)-1)*(d(y)-1)
     #     in (x, y) candidate-local order — the scalar max() tie-break.
@@ -508,10 +525,14 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     y_adj = _keyed_member(fg.keyed_left(), fg.stride, pv_u_of[rnode], ar)
     live_flag = np.zeros(k, dtype=bool)
     live_flag[live] = True
+    if trace is not None:
+        mark = _lap(trace, "pivot", mark)
 
     # --- scalar local reordering (pivot non-neighbors first), as ranks
     rank_l, t_l = _segment_ranks(x_adj, lnode, aloff, k)
     rank_r, t_r = _segment_ranks(y_adj, rnode, aroff, k)
+    if trace is not None:
+        _lap(trace, "ranks", mark)
 
     # --- case 5: one-sided bicliques holding a pivot non-neighbor
     tl_live = t_l[live]
@@ -536,6 +557,8 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
         )
 
     # --- case 6: one child per candidate edge not covered by the pivot
+    if trace is not None:
+        mark = time.perf_counter()
     covered = x_adj[e_flat] & y_adj[rpos]
     unc = np.nonzero(~covered)[0]
     n_edge_children = unc.size
@@ -564,6 +587,8 @@ def _expand(fg: FrontierGraph, batch: _Batch, bounds, sink: _RecordSink,
     keep_r = rank_r[rpos[members]] > np.repeat(rank_r[rpos[unc]], row_len)
     sub_r_child = parent[keep_r]
     sub_r_vals = ar[rpos[members[keep_r]]]
+    if trace is not None:
+        _lap(trace, "scatter", mark)
 
     # --- cases 1-4: the pivot branch (pivot endpoints become free)
     pv_mask_l = live_flag[lnode] & x_adj & (al != pv_u_of[lnode])
@@ -612,7 +637,9 @@ def run_frontier(
 
     ``heartbeat`` ticks once per node (``tick(width)`` per batch);
     ``trace`` receives ``frontier_expand`` spans for the first
-    ``_TRACE_SPAN_CAP`` batches plus one aggregated tail span.
+    ``_TRACE_SPAN_CAP`` batches (each with its ``intersect`` / ``pivot``
+    / ``ranks`` / ``scatter`` sub-spans) plus one aggregated tail span,
+    and one ``replay`` span for the record evaluation.
     """
     from repro.core.epivoter import CountBudgetExceeded, _flush_traversal_stats
 
@@ -653,7 +680,7 @@ def run_frontier(
             max_arena = arena
         if traced and batches <= _TRACE_SPAN_CAP:
             with trace.span("frontier_expand", batch=batches, width=width):
-                children = _expand(fg, batch, bounds, sink, tally)
+                children = _expand(fg, batch, bounds, sink, tally, trace)
         elif traced:
             started = time.perf_counter()
             children = _expand(fg, batch, bounds, sink, tally)
@@ -672,7 +699,11 @@ def run_frontier(
             nodes=tail_nodes,
             aggregated=True,
         )
-    sink.replay(visit, bounds=bounds)
+    if traced:
+        with trace.span("replay"):
+            sink.replay(visit, bounds=bounds)
+    else:
+        sink.replay(visit, bounds=bounds)
     if track:
         _flush_traversal_stats(
             obs,

@@ -21,7 +21,12 @@ import numpy as np
 
 from repro.core.counts import BicliqueCounts
 from repro.core.epivoter import EPivoter
-from repro.core.zigzag import zigzag_count_all, zigzagpp_count_all
+from repro.core.zigzag import (
+    _ENGINES,
+    star_counts,
+    zigzag_count_all,
+    zigzagpp_count_all,
+)
 from repro.graph.bigraph import BipartiteGraph
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACE, Trace
@@ -179,10 +184,6 @@ def hybrid_count_single(
                 p, q, left_region=sparse, workers=workers, obs=obs
             )[p, q]
     if dense:
-        # Import locally to avoid a cycle at module import time.
-        from repro.core.zigzag import _ZigZag, _ZigZagPP, star_counts
-        from repro.core.counts import BicliqueCounts
-
         with reg.phase("hybrid.estimate_dense"), trace.span(
             "estimate_dense", vertices=len(dense)
         ):
@@ -191,8 +192,8 @@ def hybrid_count_single(
                 star_counts(ordered, star_part, dense)
                 total += star_part[p, q]
             else:
-                engine_cls = _ZigZag if estimator == "zigzag" else _ZigZagPP
-                level = min(p, q) - 1 if estimator == "zigzag" else min(p, q)
+                engine_cls = _ENGINES[estimator]
+                level = min(p, q) - engine_cls.cell_offset
                 engine = engine_cls(
                     ordered,
                     max(p, q),

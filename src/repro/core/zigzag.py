@@ -35,10 +35,21 @@ deterministic at unit granularity:
   level through :meth:`ZigzagDP.sample_batch` — a vectorised inverse-CDF
   walk that is itself bit-identical to the retained per-sample reference
   path (``batch=False``).
-* **built-once DP state**: the totals pass and the sampling pass share
-  one LRU of built ``(LocalSubgraph, ZigzagDP)`` state per unit (the
+* **exact totals counted once per graph**: a unit's level-h zigzag total
+  depends only on the graph, the unit and h — never on the seed, the
+  sample count or the DP's top level (each table level is built from the
+  one below it only).  So the totals pass memoises them on the ordered
+  graph object itself (:func:`_memo_lookup` / :func:`_memo_publish`),
+  keyed by ``(kind, level)``: one flat float64 array over all units plus
+  a filled mask.  Zigzag, zigzag++, hybrid's dense pass and every
+  adaptive round share it; a repeat estimate on the same graph builds DP
+  state only for the units it samples.  The memo lives and dies with the
+  graph object, so a mutated graph version starts with an empty one.
+  Built ``(LocalSubgraph, ZigzagDP)`` state is *not* memoised across
+  calls (it measured 5–43 MiB per served graph, kind and level): within
+  one call the totals and sampling passes share an LRU of it (the
   per-worker :func:`repro.utils.parallel.worker_cache` on the process
-  path), instead of rebuilding every unit's DP twice.
+  path), so a unit built for its totals is not rebuilt to sample it.
 * **unit fan-out**: ``workers=`` chunks the units over processes via
   :class:`repro.utils.parallel.GraphPool`; the graph ships once for both
   passes and per-unit partial sums merge back in unit order, preserving
@@ -47,6 +58,7 @@ deterministic at unit granularity:
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -87,6 +99,10 @@ __all__ = [
 #: this many units the least-recently-used state is evicted and rebuilt
 #: on demand (counted as ``zigzag.dp_cache_misses``).
 DP_CACHE_UNITS = 65536
+
+#: Guards every totals memo: creation, lookups and publishes.  Misses are
+#: computed outside it, so it is only ever held for array copies.
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass
@@ -405,6 +421,55 @@ def _acct_stats(acct: dict, extra_counters: "dict | None" = None) -> dict:
     }
 
 
+def _memo_lookup(
+    graph: BipartiteGraph, kind: str, levels: "tuple[int, ...]", unit_ids: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Memoised totals of ``unit_ids``: a ``(units, levels)`` array and
+    the mask of units known at every level (other rows are zero)."""
+    totals = np.zeros((unit_ids.size, len(levels)), dtype=np.float64)
+    filled = np.ones(unit_ids.size, dtype=bool)
+    with _MEMO_LOCK:
+        memo = graph._zigzag_totals or {}
+        for col, level in enumerate(levels):
+            entry = memo.get((kind, level))
+            if entry is None:
+                filled[:] = False
+                continue
+            values, known = entry
+            totals[:, col] = values[unit_ids]
+            filled &= known[unit_ids]
+    return totals, filled
+
+
+def _memo_publish(
+    graph: BipartiteGraph,
+    kind: str,
+    levels: "tuple[int, ...]",
+    unit_ids: np.ndarray,
+    rows: np.ndarray,
+) -> None:
+    """Merge freshly computed ``(units, levels)`` totals into the memo.
+
+    One lock covers the values and the mask, so a concurrent lookup
+    never sees a unit marked known before its value is written.
+    """
+    n_units = graph.num_edges if kind == "zigzag" else graph.n_left
+    with _MEMO_LOCK:
+        if graph._zigzag_totals is None:
+            graph._zigzag_totals = {}
+        memo = graph._zigzag_totals
+        for col, level in enumerate(levels):
+            entry = memo.get((kind, level))
+            if entry is None:
+                entry = memo[(kind, level)] = (
+                    np.zeros(n_units, dtype=np.float64),
+                    np.zeros(n_units, dtype=bool),
+                )
+            values, known = entry
+            values[unit_ids] = rows[:, col]
+            known[unit_ids] = True
+
+
 def _totals_chunk(payload):
     """Worker: exact per-unit zigzag totals over one chunk of units."""
     kind, max_level, levels, units, collect = payload
@@ -453,9 +518,10 @@ def _sampling_chunk(payload):
         return results, {"sampling": partial}
     stats = _acct_stats(acct)
     # Units built *during sampling* are cache-affinity rebuilds (the pool
-    # gave this chunk to a worker that didn't run the unit's totals), not
-    # new DP work: charge them separately so ``zigzag.dp_table_cells``
-    # stays identical between serial and parallel runs.
+    # gave this chunk to a worker that didn't run the unit's totals, or
+    # the totals came from the memo), not new DP work: charge them
+    # separately so ``zigzag.dp_table_cells`` stays identical between
+    # serial and parallel runs.
     counters = stats["counters"]
     counters["zigzag.dp_rebuild_cells"] = counters.pop("zigzag.dp_table_cells")
     stats.update(
@@ -599,8 +665,9 @@ class _Estimator:
                 obs.incr(name, value)
             sample_counters = _acct_stats(sample_acct)["counters"]
             # Serial sampling hits the cache populated by the totals pass;
-            # any build here is an LRU-eviction rebuild, same bucket as
-            # the workers' affinity rebuilds.
+            # a build here is a unit whose totals came from the memo, or
+            # an LRU-eviction rebuild — the same bucket as the workers'
+            # affinity rebuilds.
             sample_counters["zigzag.dp_rebuild_cells"] = sample_counters.pop(
                 "zigzag.dp_table_cells"
             )
@@ -620,6 +687,23 @@ class _Estimator:
         return counts
 
     def _totals_pass(self, units, levels, max_level, pool, acct) -> np.ndarray:
+        """Exact per-unit totals: memoised rows from the graph's memo,
+        the rest computed (serially or over the pool) and published."""
+        unit_ids = np.asarray(units, dtype=np.int64)
+        totals, filled = _memo_lookup(self.graph, self.kind, levels, unit_ids)
+        missing = np.flatnonzero(~filled)
+        if self.obs.enabled:
+            self.obs.incr("zigzag.totals_memo_hits", len(units) - missing.size)
+            self.obs.incr("zigzag.totals_memo_misses", missing.size)
+        if missing.size:
+            rows = self._compute_totals(
+                [units[i] for i in missing.tolist()], levels, max_level, pool, acct
+            )
+            totals[missing] = rows
+            _memo_publish(self.graph, self.kind, levels, unit_ids[missing], rows)
+        return totals
+
+    def _compute_totals(self, units, levels, max_level, pool, acct) -> np.ndarray:
         """Exact per-unit totals, serial or fanned out over the pool."""
         if pool is not None:
             chunks = _in_order_chunks(units, pool.max_workers)
@@ -803,6 +887,46 @@ def zigzagpp_count_all(
     return counts
 
 
+#: Estimator name (as the hybrid, adaptive and service layers spell it)
+#: to its engine class.
+_ENGINES = {"zigzag": _ZigZag, "zigzag++": _ZigZagPP}
+
+
+def _estimate_single(
+    estimator: str,
+    graph: BipartiteGraph,
+    p: int,
+    q: int,
+    samples: int,
+    seed,
+    workers: "int | None" = None,
+    batch: bool = True,
+    trace: "Trace" = NULL_TRACE,
+    obs: "MetricsRegistry | None" = None,
+) -> float:
+    """One (p, q) estimate sampling only the level it needs (§4.2).
+
+    The body of both ``*_count_single`` functions; the service executor
+    calls it directly to hand the engine its metrics registry.
+    """
+    if min(p, q) < 1:
+        raise ValueError("p and q must be positive")
+    ordered = _prepare(graph)
+    counts = BicliqueCounts(max(p, 2), max(q, 2))
+    if min(p, q) == 1:
+        with trace.span("stars"):
+            star_counts(ordered, counts)
+            return counts[p, q]
+    engine_cls = _ENGINES[estimator]
+    with trace.span("sampling", samples=samples):
+        engine = engine_cls(
+            ordered, max(p, q), samples, seed,
+            levels=[min(p, q) - engine_cls.cell_offset], obs=obs,
+            workers=workers, batch=batch,
+        )
+        return engine.run()[p, q]
+
+
 def zigzag_count_single(
     graph: BipartiteGraph,
     p: int,
@@ -819,20 +943,9 @@ def zigzag_count_single(
     one length only, ``h = min(p, q)`` (here ``h - 1`` in the local
     subgraphs).
     """
-    if min(p, q) < 1:
-        raise ValueError("p and q must be positive")
-    ordered = _prepare(graph)
-    counts = BicliqueCounts(max(p, 2), max(q, 2))
-    if min(p, q) == 1:
-        with trace.span("stars"):
-            star_counts(ordered, counts)
-            return counts[p, q]
-    with trace.span("sampling", samples=samples):
-        engine = _ZigZag(
-            ordered, max(p, q), samples, seed, levels=[min(p, q) - 1],
-            workers=workers, batch=batch,
-        )
-        return engine.run()[p, q]
+    return _estimate_single(
+        "zigzag", graph, p, q, samples, seed, workers, batch, trace
+    )
 
 
 def zigzagpp_count_single(
@@ -846,17 +959,6 @@ def zigzagpp_count_single(
     trace: "Trace" = NULL_TRACE,
 ) -> float:
     """Estimate one (p, q) count with ZigZag++ (single sampled level)."""
-    if min(p, q) < 1:
-        raise ValueError("p and q must be positive")
-    ordered = _prepare(graph)
-    counts = BicliqueCounts(max(p, 2), max(q, 2))
-    if min(p, q) == 1:
-        with trace.span("stars"):
-            star_counts(ordered, counts)
-            return counts[p, q]
-    with trace.span("sampling", samples=samples):
-        engine = _ZigZagPP(
-            ordered, max(p, q), samples, seed, levels=[min(p, q)],
-            workers=workers, batch=batch,
-        )
-        return engine.run()[p, q]
+    return _estimate_single(
+        "zigzag++", graph, p, q, samples, seed, workers, batch, trace
+    )

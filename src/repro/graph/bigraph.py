@@ -194,6 +194,9 @@ class BipartiteGraph:
         "_deg_l",
         "_deg_r",
         "_fingerprint",
+        # Exact per-unit zigzag totals, created lazily by
+        # repro.core.zigzag: dies with this graph object, never pickled.
+        "_zigzag_totals",
     )
 
     def __init__(self, n_left: int, n_right: int, edges: Iterable[tuple[int, int]]):
@@ -207,6 +210,7 @@ class BipartiteGraph:
         self._deg_l = None
         self._deg_r = None
         self._fingerprint = None
+        self._zigzag_totals = None
 
     @classmethod
     def from_csr(
@@ -235,6 +239,7 @@ class BipartiteGraph:
         graph._deg_l = None
         graph._deg_r = None
         graph._fingerprint = None
+        graph._zigzag_totals = None
         return graph
 
     # ------------------------------------------------------------------

@@ -40,7 +40,7 @@ from repro.core.counts import BicliqueCounts
 from repro.core.epivoter import CountBudgetExceeded, EPivoter
 from repro.core.hybrid import hybrid_count_single
 from repro.core.matrix import matrix_count_single
-from repro.core.zigzag import star_counts, zigzag_count_single, zigzagpp_count_single
+from repro.core.zigzag import _estimate_single, star_counts
 from repro.graph.bigraph import BipartiteGraph
 from repro.obs.registry import NULL_REGISTRY
 from repro.obs.trace import NULL_TRACE, TraceRing
@@ -831,16 +831,12 @@ class ServiceExecutor:
             )
             return value, {"samples": params.get("samples")}
         if plan.method in ("zigzag", "zigzag++"):
-            count_fn = (
-                zigzag_count_single
-                if plan.method == "zigzag"
-                else zigzagpp_count_single
-            )
-            value = count_fn(
-                graph, p, q,
+            value = _estimate_single(
+                plan.method, graph, p, q,
                 samples=params.get("samples", 20_000),
                 seed=params.get("seed"),
                 trace=trace,
+                obs=self._obs,
             )
             return value, {"samples": params.get("samples")}
         raise ValueError(f"unexecutable plan method {plan.method!r}")

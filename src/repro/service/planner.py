@@ -424,7 +424,8 @@ def _estimator_plan(
             method="hybrid", params=params,
             reason=(
                 "no deadline and the exact sparse-region pass fits "
-                f"(predicted {sparse_exact_seconds:.3f}s): hybrid EP/ZZ++"
+                f"(predicted {sparse_exact_seconds:.3f}s): hybrid EP/ZZ, "
+                "per-edge ZigZag on the dense region"
             ),
         )
     reason = "ZigZag++ sampling"

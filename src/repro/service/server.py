@@ -68,6 +68,8 @@ route), the ``service.http.<route>`` timers, and the
 from __future__ import annotations
 
 import json
+import signal
+import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING
@@ -638,7 +640,15 @@ def create_server(
 
 
 def serve_forever(server: BicliqueServiceServer) -> None:
-    """Run until interrupted, then shut the executor down cleanly."""
+    """Run until SIGINT or SIGTERM, then shut the executor down cleanly.
+
+    SIGTERM takes the SIGINT path (a ``KeyboardInterrupt`` in the main
+    thread), so a plain ``kill`` also closes the engine pool instead of
+    leaving its forked workers running without a parent.
+    """
+    main = threading.current_thread() is threading.main_thread()
+    if main:
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -646,3 +656,5 @@ def serve_forever(server: BicliqueServiceServer) -> None:
     finally:
         server.executor.shutdown()
         server.server_close()
+        if main:
+            signal.signal(signal.SIGTERM, previous)

@@ -49,6 +49,7 @@ the rerun is exact (``parallel.pool_restarts`` counts these).
 from __future__ import annotations
 
 import os
+import signal
 import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
@@ -273,6 +274,11 @@ def _attach_shm(name: str):
 def _init_worker(spec) -> None:
     """Pool initializer: attach the shipped graph exactly once per worker."""
     start = time.perf_counter()
+    # The executor stops the workers of a broken pool with SIGTERM.  A
+    # server forks them while it routes SIGTERM to KeyboardInterrupt,
+    # which a worker busy on a task would return as the task's error and
+    # keep running, so the executor's join of it never returns.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     mode = spec[0]
     if mode == "shm":
         _, name, n_left, n_right, num_edges = spec

@@ -181,3 +181,54 @@ class TestModeSelection:
         assert obs.counters["epivoter.frontier_batches"] >= 1
         assert obs.gauges["epivoter.frontier_max_width"] >= 1
         assert obs.gauges["epivoter.arena_bytes"] >= 1
+
+
+def _spans_named(span, name):
+    """Every span called ``name`` in the subtree under ``span``."""
+    found = [span] if span.name == name else []
+    for child in span.children:
+        found.extend(_spans_named(child, name))
+    return found
+
+
+class TestFrontierSpans:
+    """``frontier_expand`` splits into its hot sections when traced."""
+
+    SUB_SPANS = {"intersect", "pivot", "ranks", "scatter"}
+
+    def _traced_count(self, monkeypatch, cap):
+        from repro.core import frontier
+        from repro.obs.trace import Trace
+
+        monkeypatch.setattr(frontier, "_TRACE_SPAN_CAP", cap)
+        g = chung_lu_bipartite(120, 100, 900, seed=3)
+        trace = Trace()
+        engine = EPivoter(g, mode="frontier")
+        value = engine.count_single(3, 3, use_core=False, trace=trace)
+        assert value == engine.count_single(3, 3, use_core=False)
+        (traverse,) = _spans_named(trace.root, "traverse")
+        return traverse
+
+    def test_sub_spans_nest_under_each_traced_batch(self, monkeypatch):
+        traverse = self._traced_count(monkeypatch, cap=1000)
+        expands = _spans_named(traverse, "frontier_expand")
+        assert expands and not any(s.attributes.get("aggregated") for s in expands)
+        for expand in expands:
+            names = [child.name for child in expand.children]
+            assert set(names) <= self.SUB_SPANS
+            assert len(names) == len(set(names))
+            assert sum(c.duration for c in expand.children) <= expand.duration
+        assert any(
+            {child.name for child in expand.children} == self.SUB_SPANS
+            for expand in expands
+        )
+        replays = [child for child in traverse.children if child.name == "replay"]
+        assert len(replays) == 1 and traverse.children[-1] is replays[0]
+
+    def test_batches_past_the_cap_fold_into_one_bare_span(self, monkeypatch):
+        traverse = self._traced_count(monkeypatch, cap=1)
+        expands = _spans_named(traverse, "frontier_expand")
+        assert len(expands) == 2
+        first, tail = expands
+        assert first.children and tail.attributes["aggregated"] is True
+        assert not tail.children

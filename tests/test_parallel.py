@@ -10,6 +10,7 @@ on random graphs, bundled datasets, and every public entry point.
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
@@ -370,3 +371,20 @@ def _probe_worker_graph(_payload):
 
     g = worker_graph()
     return (g.n_left, g.n_right, g.num_edges)
+
+
+def _sigterm_is_default(_payload):
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+class TestWorkerSignals:
+    def test_workers_die_on_sigterm_when_the_parent_catches_it(self):
+        """A server routes SIGTERM to KeyboardInterrupt; its forked pool
+        workers must not inherit that, or a broken pool's terminate()
+        leaves a busy worker running and the executor's join hangs."""
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+        try:
+            with GraphPool(load_dataset("Github"), 2) as pool:
+                assert pool.map(_sigterm_is_default, [0, 1]) == [True, True]
+        finally:
+            signal.signal(signal.SIGTERM, previous)

@@ -8,6 +8,10 @@ job exercises against a live ``repro-biclique serve`` process.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import urllib.error
@@ -15,6 +19,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.core.epivoter import count_single
 from repro.graph.bigraph import BipartiteGraph
 from repro.obs import MetricsRegistry
@@ -611,3 +616,30 @@ class TestMutationEndpoint:
             base, "/v1/graphs/g", {"add_edges": [], "create_vertices": "yes"}
         )
         assert status == 400  # non-bool flag
+
+
+class TestSignalShutdown:
+    def test_sigterm_takes_the_clean_shutdown_path(self):
+        """``serve_forever`` treats SIGTERM like SIGINT: it returns, the
+        executor shuts down, and the previous SIGTERM handler is back."""
+        script = textwrap.dedent(
+            """
+            import os, signal, threading
+            from repro.service.executor import ServiceExecutor
+            from repro.service.server import create_server, serve_forever
+
+            executor = ServiceExecutor(threads=1, engine_workers=1)
+            server = create_server("127.0.0.1", 0, executor)
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGTERM)).start()
+            serve_forever(server)
+            print(executor._closed, signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True"]
