@@ -4,12 +4,13 @@ One seeded Chung–Lu graph, full (4, 4) count matrix, both engine
 modes.  The frontier engine expands the same enumeration tree
 level-synchronously — candidate sets live in one contiguous arena per
 level and the set intersections run as batched numpy kernels — so it
-must be bit-identical to the scalar walk and is asserted to be at
-least ``--min-speedup`` times faster (CI guards 3x).
+must be bit-identical to the scalar walk.  Both timings and their
+ratio are recorded for the trajectory, not asserted: the ratio moves
+with host load, and absolute speed is guarded by the repository
+benchmark (``perfbench/``).
 
 A secondary workload (the DBLP golden dataset, when its file is
-present) is recorded for the trajectory but not asserted: its scalar
-baseline is tens of milliseconds, too small to gate on.
+present) is recorded the same way.
 
 Run directly (numpy required, no pytest)::
 
@@ -33,7 +34,7 @@ from repro.core.epivoter import EPivoter  # noqa: E402
 from repro.graph.datasets import available_datasets, load_dataset  # noqa: E402
 from repro.graph.generators import chung_lu_bipartite  # noqa: E402
 
-#: The guarded workload: heavy-tailed degrees give the enumeration
+#: The main workload: heavy-tailed degrees give the enumeration
 #: tree both wide levels (where batching pays) and deep tails, and a
 #: ~1 s scalar baseline keeps best-of-N timings stable.
 GRAPH_PARAMS = dict(n_left=1500, n_right=1500, num_edges=9000, seed=3793)
@@ -82,7 +83,7 @@ def _compare(graph, repeats: int) -> dict:
 
 def run(repeats: int = 3) -> dict:
     graph = chung_lu_bipartite(**GRAPH_PARAMS)
-    guarded = _compare(graph, repeats)
+    main_workload = _compare(graph, repeats)
 
     trajectory = None
     if TRAJECTORY_DATASET in available_datasets():
@@ -94,7 +95,7 @@ def run(repeats: int = 3) -> dict:
         "title": "frontier-batched EPivoter vs the scalar walk",
         "graph": GRAPH_PARAMS,
         "repeats": repeats,
-        "chung_lu": guarded,
+        "chung_lu": main_workload,
         "trajectory": trajectory,
         "created_unix": time.time(),
     }
@@ -116,31 +117,16 @@ def main(argv: "list[str] | None" = None) -> int:
         default=Path("BENCH_epivoter.json"),
         help="where to write the JSON report (default: ./BENCH_epivoter.json)",
     )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=3.0,
-        help="fail if the frontier-vs-scalar speedup falls below this",
-    )
     args = parser.parse_args(argv)
 
     document = run()
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
-    guarded = document["chung_lu"]
-    print(_report_line("chung-lu (guarded)", guarded))
+    print(_report_line("chung-lu", document["chung_lu"]))
     if document["trajectory"] is not None:
         print(_report_line(TRAJECTORY_DATASET, document["trajectory"]))
     print(f"wrote {args.out}")
-
-    if guarded["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: frontier speedup {guarded['speedup']:.2f}x"
-            f" < {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
     return 0
 
 

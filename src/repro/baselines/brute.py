@@ -19,6 +19,7 @@ __all__ = [
     "enumerate_maximal_bicliques_brute",
     "count_zigzags_brute",
     "local_counts_brute",
+    "butterflies_per_edge_brute",
 ]
 
 
@@ -110,3 +111,20 @@ def local_counts_brute(graph: BipartiteGraph, p: int, q: int) -> tuple[list[int]
             for v in right:
                 right_counts[v] += 1
     return left_counts, right_counts
+
+
+def butterflies_per_edge_brute(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
+    """Butterflies containing each edge, brute force.
+
+    Edge ``(u, v)`` counts the pairs ``(u', v')`` with ``u' != u`` and
+    ``v' != v`` that close all four edges.  Every left pair and right
+    pair is tried, and each closed square credits its four edges.
+    """
+    counts = {edge: 0 for edge in graph.edges()}
+    for u, u_other in combinations(range(graph.n_left), 2):
+        for v, v_other in combinations(range(graph.n_right), 2):
+            square = ((u, v), (u, v_other), (u_other, v), (u_other, v_other))
+            if all(graph.has_edge(a, b) for a, b in square):
+                for edge in square:
+                    counts[edge] += 1
+    return counts

@@ -192,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sampling (and hybrid exact) pass; "
         "estimates are bit-identical for any worker count (0 = one per CPU)",
     )
-    estimate.add_argument(
-        "--per-sample", action="store_true",
-        help="use the per-sample reference walk instead of the batch kernel",
-    )
     _add_obs_arguments(estimate, json_output=True)
 
     maximal = sub.add_parser("maximal", help="enumerate maximal bicliques")
@@ -626,12 +622,12 @@ def main(argv: "list[str] | None" = None) -> int:
             if args.algorithm == "zigzag":
                 counts = zigzag_count_all(
                     graph, args.h_max, args.samples, args.seed, obs=obs,
-                    workers=args.workers, batch=not args.per_sample,
+                    workers=args.workers,
                 )
             elif args.algorithm == "zigzag++":
                 counts = zigzagpp_count_all(
                     graph, args.h_max, args.samples, args.seed, obs=obs,
-                    workers=args.workers, batch=not args.per_sample,
+                    workers=args.workers,
                 )
             else:
                 estimator = "zigzag" if args.algorithm == "hybrid" else "zigzag++"

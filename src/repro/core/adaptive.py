@@ -71,7 +71,6 @@ def adaptive_count(
     seed: "int | None | np.random.Generator" = None,
     obs: "MetricsRegistry | None" = None,
     workers: "int | None" = None,
-    batch: bool = True,
     time_budget: "float | None" = None,
     trace: Trace = NULL_TRACE,
 ) -> AdaptiveEstimate:
@@ -97,7 +96,7 @@ def adaptive_count(
     ``workers`` fans each round's unit sampling out over processes; the
     round estimates (and therefore the adaptation trace) are bit-identical
     to a serial run with the same seed, because the engines use per-unit
-    RNG streams.  ``batch=False`` selects the per-sample reference walk.
+    RNG streams.
     """
     if min(p, q) < 2:
         raise ValueError("adaptive sampling applies to min(p, q) >= 2; star cells are exact")
@@ -137,7 +136,7 @@ def adaptive_count(
         ):
             engine = engine_cls(
                 ordered, max(p, q), round_samples, rng, levels=[level], obs=obs,
-                workers=workers, batch=batch,
+                workers=workers,
             )
             counts = engine.run()
         round_estimate = counts[p, q]

@@ -22,15 +22,14 @@ proportionally to ``dpA[2h-1]``, each subsequent edge proportionally to
 the remaining-suffix counts, which yields an exactly uniform h-zigzag
 (Theorem 4.5).
 
-:meth:`ZigzagDP.sample_batch` is the vectorised form of the same walk:
-all ``k`` partial zigzags advance level-by-level as numpy column stacks,
-with one inverse-CDF ``searchsorted`` (head step) or one masked row-wise
-cumulative-sum draw (walk steps) per level instead of one Python walk
-per sample.  The batch kernel consumes the generator in exactly the
-per-sample order (``rng.random((k, 2h-1))`` fills row-major, i.e. sample
-by sample) and performs bit-identical float arithmetic per draw, so a
-batch of ``k`` equals ``k`` successive :meth:`ZigzagDP.sample` calls on
-the same generator — the per-sample walk is kept as the reference path.
+:meth:`ZigzagDP.sample_batch` runs that walk for ``k`` samples at once:
+all partial zigzags advance level-by-level as numpy column stacks, with
+one inverse-CDF ``searchsorted`` (head step) or one masked row-wise
+cumulative-sum draw (walk steps) per level.  Draws come off the
+generator sample by sample (``rng.random((k, 2h-1))`` fills row-major),
+so the samples do not depend on how the ``k`` are split into blocks or
+calls: a batch of ``k`` followed by a batch of ``j`` equals one batch of
+``k + j`` on the same generator.
 """
 
 from __future__ import annotations
@@ -135,55 +134,7 @@ class ZigzagDP:
         total = table.sum() if len(table) else (0 if self.exact else 0.0)
         return total
 
-    def sample(
-        self,
-        h: int,
-        rng: "int | None | np.random.Generator" = None,
-        head_range: "tuple[int, int] | None" = None,
-    ) -> tuple[list[int], list[int]]:
-        """Draw one uniform h-zigzag; returns ``(left_vertices, right_vertices)``.
-
-        Vertices come back in path order (both strictly increasing).
-        Raises ``ValueError`` if no such zigzag exists.
-        """
-        if not 1 <= h <= self.h_max:
-            raise ValueError(f"h must be in 1..{self.h_max}")
-        if self.num_edges == 0:
-            raise ValueError("cannot sample from a graph with no edges")
-        rng = as_generator(rng)
-        lo, hi = head_range if head_range is not None else (0, self.num_edges)
-        head = self._pick(self._dpA[2 * h - 1], lo, hi, rng)
-        left = [int(self.a_u[head])]
-        right = [int(self.a_v[head])]
-        cursor = head
-        for level in range(2 * h - 2, 0, -1):
-            if level % 2 == 0:
-                # Move A -> B: pick the next left vertex.
-                cursor = self._pick(
-                    self._dpB[level], int(self._a_lo[cursor]), int(self._a_hi[cursor]), rng
-                )
-                left.append(int(self.b_u[cursor]))
-            else:
-                # Move B -> A: pick the next right vertex.
-                cursor = self._pick(
-                    self._dpA[level], int(self._b_lo[cursor]), int(self._b_hi[cursor]), rng
-                )
-                right.append(int(self.a_v[cursor]))
-        return left, right
-
-    def _pick(self, table: np.ndarray, lo: int, hi: int, rng: np.random.Generator) -> int:
-        weights = table[lo:hi]
-        if self.exact:
-            weights = weights.astype(np.float64)
-        cumulative = np.cumsum(weights)
-        total = cumulative[-1] if len(cumulative) else 0.0
-        if total <= 0:
-            raise ValueError("cannot sample: no zigzag with positive weight")
-        draw = rng.random() * total
-        index = int(np.searchsorted(cumulative, draw, side="right"))
-        return lo + min(index, hi - lo - 1)
-
-    # Batched sampling ---------------------------------------------------
+    # Sampling -----------------------------------------------------------
 
     def sample_batch(
         self,
@@ -196,10 +147,8 @@ class ZigzagDP:
         """Draw ``k`` uniform h-zigzags at once.
 
         Returns ``(lefts, rights)``: two ``(k, h)`` int64 arrays whose
-        rows are the sampled zigzags in path order.  Bit-identical to
-        ``k`` successive :meth:`sample` calls on the same generator (same
-        uniform-draw order, same per-draw arithmetic), so the two paths
-        are interchangeable mid-stream.
+        rows are the sampled zigzags in path order (both sides strictly
+        increasing).  Raises ``ValueError`` if no such zigzag exists.
 
         ``block`` caps how many samples advance together (bounding the
         ``block x max_range_width`` working set); blocks run back to back
@@ -226,13 +175,12 @@ class ZigzagDP:
         head_total = head_cum[-1] if len(head_cum) else 0.0
         if head_total <= 0:
             raise ValueError("cannot sample: no zigzag with positive weight")
-        draws_per_sample = 2 * h - 1
         for start in range(0, k, block):
             stop = min(start + block, k)
             kb = stop - start
-            # Row-major fill = sample-by-sample draw order, matching the
-            # reference per-sample walk on the same generator.
-            uniforms = rng.random((kb, draws_per_sample))
+            # Row-major fill = sample-by-sample draw order, so splitting
+            # the k samples into blocks or calls never changes them.
+            uniforms = rng.random((kb, 2 * h - 1))
             heads = np.searchsorted(head_cum, uniforms[:, 0] * head_total, side="right")
             cursors = lo + np.minimum(heads, hi - lo - 1)
             lefts[start:stop, 0] = self.a_u[cursors]
@@ -279,12 +227,12 @@ class ZigzagDP:
         highs: np.ndarray,
         uniforms: np.ndarray,
     ) -> np.ndarray:
-        """Vectorised :meth:`_pick` over per-sample ``[low, high)`` ranges.
+        """One proportional draw per sample from its ``[low, high)`` range.
 
         Each row's weights are gathered into a padded matrix and
         cumulative-summed left to right (``np.cumsum`` accumulates
-        sequentially, so every row matches the 1-D cumsum the per-sample
-        path computes bit for bit); the inverse-CDF index is the count of
+        sequentially, so a row's sums do not depend on the other rows'
+        widths); the inverse-CDF index is the count of
         cumulative values ``<= draw``, which is ``searchsorted(...,
         side="right")``.  Padding columns carry the row total and a draw
         is strictly below its total, so they never count.

@@ -32,9 +32,8 @@ deterministic at unit granularity:
   or in which order.  Serial and parallel runs with the same seed are
   **bit-identical**.
 * **batch sampling**: each unit draws all its allocated samples per
-  level through :meth:`ZigzagDP.sample_batch` — a vectorised inverse-CDF
-  walk that is itself bit-identical to the retained per-sample reference
-  path (``batch=False``).
+  level through :meth:`ZigzagDP.sample_batch` — one vectorised
+  inverse-CDF walk (Algorithm 6) for the whole allocation.
 * **exact totals counted once per graph**: a unit's level-h zigzag total
   depends only on the graph, the unit and h — never on the seed, the
   sample count or the DP's top level (each table level is built from the
@@ -233,8 +232,8 @@ def _hit_pools_batch(
 
     Repeated zigzags (common in dense units, where few distinct zigzags
     absorb many draws) run the intersection kernels once; the per-sample
-    result list keeps the original draw order so downstream accumulation
-    stays bit-identical to the per-sample path.
+    result list keeps the original draw order, so downstream accumulation
+    runs in draw order.
     """
     pools = []
     memo: dict[tuple[bytes, bytes], "tuple[int, int] | None"] = {}
@@ -327,7 +326,6 @@ def _estimate_unit(
     unit: int,
     alloc_row,
     seed_seq: np.random.SeedSequence,
-    batch: bool,
     cache: OrderedDict,
     acct: dict,
 ):
@@ -349,17 +347,11 @@ def _estimate_unit(
         k = int(alloc_row[col])
         if not k:
             continue
-        if batch:
-            lefts, rights = dp.sample_batch(level, k, rng, head)
-            pools = _hit_pools_batch(local.graph, lefts, rights)
-            acct["batches"] += 1
-            if k > acct["batch_max"]:
-                acct["batch_max"] = k
-        else:
-            pools = []
-            for _ in range(k):
-                left, right = dp.sample(level, rng, head)
-                pools.append(_hit_pools(local.graph, left, right))
+        lefts, rights = dp.sample_batch(level, k, rng, head)
+        pools = _hit_pools_batch(local.graph, lefts, rights)
+        acct["batches"] += 1
+        if k > acct["batch_max"]:
+            acct["batch_max"] = k
         base = level + cell_base
         for pair in pools:
             if pair is None:
@@ -495,7 +487,7 @@ def _totals_chunk(payload):
 
 def _sampling_chunk(payload):
     """Worker: sample one chunk of allocated units with their own streams."""
-    kind, h_max, max_level, levels, items, batch, collect = payload
+    kind, h_max, max_level, levels, items, collect = payload
     graph = worker_graph()
     cache = _worker_lru()
     acct = _new_acct()
@@ -506,7 +498,7 @@ def _sampling_chunk(payload):
     for row, unit, alloc_row, seed_seq in items:
         sums, max_hit, hits = _estimate_unit(
             graph, kind, h_max, max_level, levels, unit, alloc_row, seed_seq,
-            batch, cache, acct,
+            cache, acct,
         )
         results.append((row, sums, hits))
         drawn += sum(alloc_row)
@@ -546,7 +538,7 @@ class _Estimator:
 
     Subclasses define the subgraph family (``kind``) and its sampled
     levels; everything else — DP construction with LRU reuse, multinomial
-    allocation, per-unit-stream sampling (batched or per-sample), process
+    allocation, per-unit-stream batch sampling, process
     fan-out, unbiased scaling — is shared between ZigZag and ZigZag++.
     """
 
@@ -566,7 +558,6 @@ class _Estimator:
         unit_filter: "set[int] | None" = None,
         obs: "MetricsRegistry | None" = None,
         workers: "int | None" = None,
-        batch: bool = True,
     ):
         if h_max < 2:
             raise ValueError("h_max must be at least 2")
@@ -581,7 +572,6 @@ class _Estimator:
         self.stats = SamplingStats()
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.workers = workers
-        self.batch = batch
         self._cache: OrderedDict = OrderedDict()
 
     # Subclass hooks -----------------------------------------------------
@@ -741,7 +731,7 @@ class _Estimator:
             chunks = _in_order_chunks(items, pool.max_workers)
             collect = self.obs.enabled
             payloads = [
-                (self.kind, self.h_max, max_level, levels, chunk, self.batch, collect)
+                (self.kind, self.h_max, max_level, levels, chunk, collect)
                 for chunk in chunks
             ]
             parts = split_worker_results(
@@ -757,7 +747,7 @@ class _Estimator:
         for row, unit, alloc_row, seed_seq in items:
             sums, max_hit, hits = _estimate_unit(
                 self.graph, self.kind, self.h_max, max_level, levels, unit,
-                alloc_row, seed_seq, self.batch, self._cache, acct,
+                alloc_row, seed_seq, self._cache, acct,
             )
             results.append((row, sums, hits))
             hits_total += hits
@@ -832,7 +822,6 @@ def zigzag_count_all(
     left_region: "set[int] | None" = None,
     obs: "MetricsRegistry | None" = None,
     workers: "int | None" = None,
-    batch: bool = True,
 ):
     """Estimate all (p, q)-biclique counts with ZigZag (Algorithm 7).
 
@@ -843,9 +832,7 @@ def zigzag_count_all(
 
     ``workers`` fans the per-edge units out over processes (0 = one per
     CPU); thanks to per-unit RNG streams the estimate is **bit-identical**
-    for any worker count given the same seed.  ``batch=False`` selects
-    the per-sample reference walk instead of the vectorised batch kernel
-    (same estimates, for cross-validation).
+    for any worker count given the same seed.
 
     Returns a :class:`BicliqueCounts` (float cells for sampled levels,
     exact integers for ``min(p, q) = 1``), plus :class:`SamplingStats`
@@ -856,7 +843,7 @@ def zigzag_count_all(
     ordered = _prepare(graph)
     engine = _ZigZag(
         ordered, h_max, samples, seed, unit_filter=left_region, obs=obs,
-        workers=workers, batch=batch,
+        workers=workers,
     )
     counts = engine.run()
     if return_stats:
@@ -873,13 +860,12 @@ def zigzagpp_count_all(
     left_region: "set[int] | None" = None,
     obs: "MetricsRegistry | None" = None,
     workers: "int | None" = None,
-    batch: bool = True,
 ):
     """Estimate all (p, q)-biclique counts with ZigZag++ (Algorithm 8)."""
     ordered = _prepare(graph)
     engine = _ZigZagPP(
         ordered, h_max, samples, seed, unit_filter=left_region, obs=obs,
-        workers=workers, batch=batch,
+        workers=workers,
     )
     counts = engine.run()
     if return_stats:
@@ -900,7 +886,6 @@ def _estimate_single(
     samples: int,
     seed,
     workers: "int | None" = None,
-    batch: bool = True,
     trace: "Trace" = NULL_TRACE,
     obs: "MetricsRegistry | None" = None,
 ) -> float:
@@ -922,7 +907,7 @@ def _estimate_single(
         engine = engine_cls(
             ordered, max(p, q), samples, seed,
             levels=[min(p, q) - engine_cls.cell_offset], obs=obs,
-            workers=workers, batch=batch,
+            workers=workers,
         )
         return engine.run()[p, q]
 
@@ -934,7 +919,6 @@ def zigzag_count_single(
     samples: int = 100_000,
     seed: "int | None | np.random.Generator" = None,
     workers: "int | None" = None,
-    batch: bool = True,
     trace: "Trace" = NULL_TRACE,
 ) -> float:
     """Estimate one (p, q) count with ZigZag, sampling only the needed level.
@@ -944,7 +928,7 @@ def zigzag_count_single(
     subgraphs).
     """
     return _estimate_single(
-        "zigzag", graph, p, q, samples, seed, workers, batch, trace
+        "zigzag", graph, p, q, samples, seed, workers, trace
     )
 
 
@@ -955,10 +939,9 @@ def zigzagpp_count_single(
     samples: int = 100_000,
     seed: "int | None | np.random.Generator" = None,
     workers: "int | None" = None,
-    batch: bool = True,
     trace: "Trace" = NULL_TRACE,
 ) -> float:
     """Estimate one (p, q) count with ZigZag++ (single sampled level)."""
     return _estimate_single(
-        "zigzag++", graph, p, q, samples, seed, workers, batch, trace
+        "zigzag++", graph, p, q, samples, seed, workers, trace
     )

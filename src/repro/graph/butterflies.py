@@ -4,53 +4,40 @@ Butterflies are the smallest non-trivial bicliques and appear throughout
 the paper: they weight PSA's priority sampling, and Table 5 reports
 per-region butterfly counts to evaluate the partition strategy.
 
-Two implementations live side by side:
+Both counts are a handful of sparse products over the CSR buffers, the
+cache-aware formulation of "Efficient Butterfly Counting for Large
+Bipartite Networks":
 
-* The **matrix kernels** (the implementation) compute everything
-  as a handful of sparse products over the CSR buffers, the cache-aware
-  formulation of "Efficient Butterfly Counting for Large Bipartite
-  Networks":
+* total: with ``M = A @ A.T`` the butterfly count is
+  ``sum_{u < u'} C(M[u, u'], 2)`` — evaluated on whichever side has the
+  cheaper pair matrix, as exact integers via a histogram fold;
+* per edge: with ``W = (A @ A.T) @ A`` restricted to ``A``'s nonzero
+  pattern, edge ``(u, v)`` sits in ``W[u, v] - d(u) - d(v) + 1``
+  butterflies (the ``d(u)`` term removes the ``u' = u`` diagonal
+  contribution, the ``d(v) - 1`` term removes the shared wedge through
+  ``v`` itself).
 
-  - total: with ``M = A @ A.T`` the butterfly count is
-    ``sum_{u < u'} C(M[u, u'], 2)`` — evaluated on whichever side has
-    the cheaper pair matrix, as exact integers via a histogram fold;
-  - per edge: with ``W = (A @ A.T) @ A`` restricted to ``A``'s nonzero
-    pattern, edge ``(u, v)`` sits in ``W[u, v] - d(u) - d(v) + 1``
-    butterflies (the ``d(u)`` term removes the ``u' = u`` diagonal
-    contribution, the ``d(v) - 1`` term removes the shared wedge through
-    ``v`` itself).
-
-* The **reference implementations** (``*_reference``) keep the original
-  pure-Python wedge loop as the equality oracle the test suite and
-  benchmark pin the kernels against.
-
-Both paths return exact Python integers; ``butterflies_per_edge`` is
-bit-identical between them.
+Both return exact integers; the test oracles are the definitional
+counters in :mod:`repro.baselines.brute`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from repro.graph.bigraph import LEFT, RIGHT, BipartiteGraph
-from repro.graph.intersect import intersect_size
 from repro.graph.sparse import (
     biadjacency,
     histogram_binomial_fold,
     overlap_histogram,
     pair_work,
 )
-from repro.utils.combinatorics import binomial
 
 __all__ = [
     "butterfly_count",
     "butterfly_count_from_histogram",
     "butterflies_per_edge",
     "butterflies_per_edge_array",
-    "butterfly_count_reference",
-    "butterflies_per_edge_reference",
 ]
 
 
@@ -73,32 +60,6 @@ def butterfly_count(graph: BipartiteGraph) -> int:
     """
     side = LEFT if pair_work(graph, LEFT) <= pair_work(graph, RIGHT) else RIGHT
     return butterfly_count_from_histogram(overlap_histogram(graph, side))
-
-
-def butterfly_count_reference(graph: BipartiteGraph) -> int:
-    """Pure-Python butterfly count (the retained reference path).
-
-    The standard wedge-counting algorithm in ``O(sum_v d(v)^2)``: every
-    pair of vertices with ``c`` common neighbors contributes ``C(c, 2)``
-    butterflies.  Wedges are aggregated from the sparser side to keep
-    the quadratic factor on the smaller degree sequence.
-    """
-    sum_sq_left = sum(d * d for d in graph.degrees_left())
-    sum_sq_right = sum(d * d for d in graph.degrees_right())
-    # Count wedges centered on the side whose degree squares are smaller.
-    if sum_sq_right <= sum_sq_left:
-        center_range = range(graph.n_right)
-        neighbors = graph.neighbors_right
-    else:
-        center_range = range(graph.n_left)
-        neighbors = graph.neighbors_left
-    pair_counts: Counter[tuple[int, int]] = Counter()
-    for center in center_range:
-        adj = neighbors(center)
-        for i in range(len(adj)):
-            for j in range(i + 1, len(adj)):
-                pair_counts[(adj[i], adj[j])] += 1
-    return sum(binomial(c, 2) for c in pair_counts.values())
 
 
 def butterflies_per_edge_array(graph: BipartiteGraph):
@@ -142,27 +103,3 @@ def butterflies_per_edge(graph: BipartiteGraph) -> dict[tuple[int, int], int]:
     """
     values = butterflies_per_edge_array(graph)
     return {edge: int(values[k]) for k, edge in enumerate(graph.edges())}
-
-
-def butterflies_per_edge_reference(
-    graph: BipartiteGraph,
-) -> dict[tuple[int, int], int]:
-    """Pure-Python per-edge butterfly counts (the retained reference).
-
-    ``sum over u' in N(v)\\{u} of |N(u') ∩ N(u)| - [v in N(u')]`` per
-    edge, via the galloping intersection kernel.
-    """
-    result: dict[tuple[int, int], int] = {}
-    # CSR rows are already sorted; hoist them once and let the galloping
-    # kernel count overlaps without materialising per-vertex sets.
-    rows = [graph.row_left(u) for u in range(graph.n_left)]
-    for u, v in graph.edges():
-        count = 0
-        row_u = rows[u]
-        for u_other in graph.neighbors_right(v):
-            if u_other == u:
-                continue
-            # (u, u') share v itself; butterflies need a second shared v'.
-            count += intersect_size(row_u, rows[u_other]) - 1
-        result[(u, v)] = count
-    return result

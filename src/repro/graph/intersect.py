@@ -6,8 +6,8 @@ All adjacency data in this library lives in CSR buffers
 need — ``N(u) ∩ C``, ``|N(u) ∩ N(u')|``, ``S ⊆ N(v)`` — reduces to a
 walk over two sorted sequences.  This module is the one place those
 walks are implemented; EPivoter, EPMBCE, ZigZag (via the subgraph
-builders), the butterfly counter, BC, and the vertex-pivot baseline all
-import from here.
+builders), the incremental butterfly maintenance, BC, and the
+vertex-pivot baseline all import from here.
 
 Two regimes, picked adaptively by :func:`intersect_sorted`:
 
@@ -16,8 +16,8 @@ Two regimes, picked adaptively by :func:`intersect_sorted`:
 * **galloping** (binary-search) walk — iterate the *short* side and
   binary-search each element in the long side, ``O(m log n)``; on
   skewed-degree graphs (a hub adjacency vs. a leaf adjacency) this is
-  the layout-aware fast path that a flat CSR makes possible, and the
-  regime the ``BENCH_intersect.json`` micro-benchmark tracks.
+  the layout-aware fast path that a flat CSR makes possible
+  (``tests/test_intersect.py`` pins both regimes to a set oracle).
 
 The crossover ``m * GALLOP_FACTOR < n`` mirrors the standard heuristic
 (e.g. numpy's ``intersect1d`` discussion and the roaring-bitmap papers):

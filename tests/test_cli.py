@@ -60,17 +60,17 @@ class TestCommands:
         assert code == 0
         assert "p\\q" in capsys.readouterr().out
 
-    def test_estimate_workers_and_per_sample_match_serial(self, graph_file, capsys):
+    def test_estimate_workers_match_serial(self, graph_file, capsys):
         base = [
             "estimate", "--input", graph_file, "--algorithm", "zigzag++",
             "--h-max", "3", "--samples", "500", "--seed", "4",
         ]
         outputs = []
-        for extra in ([], ["--workers", "2"], ["--per-sample"]):
+        for extra in ([], ["--workers", "2"]):
             assert main(base + extra) == 0
             lines = capsys.readouterr().out.splitlines()
             outputs.append([l for l in lines if not l.startswith("elapsed")])
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]
 
     def test_estimate_hybrid(self, graph_file, capsys):
         code = main(

@@ -4,8 +4,8 @@ The acceptance property for the mutation subsystem: after *every*
 batch of a seeded insert/delete sweep, the overlay view (and its
 materialized CSR) is bit-identical to a graph rebuilt from scratch,
 and every engine answers identically on both — EPivoter (scalar and
-frontier), the matrix closed forms, and the per-sample ZigZag++
-estimator under a fixed seed.
+frontier), the matrix closed forms, and the seeded ZigZag++
+estimator.
 """
 
 from __future__ import annotations
@@ -255,8 +255,8 @@ def _sweep(state, rng, n_batches, batch_size, pq_pairs, compact_probe=None):
                 assert matrix_count_single(view, p, q) == matrix_count_single(
                     rebuilt, p, q
                 ) == state.maintained_count(p, q, state.version)
-            # Same seed, same graph content => the per-sample estimator
-            # draws the same samples and lands on the same estimate.
+            # Same seed, same graph content => the estimator draws the
+            # same samples and lands on the same estimate.
             assert zigzagpp_count_single(
                 view_ordered, p, q, samples=200, seed=7, workers=1
             ) == zigzagpp_count_single(

@@ -108,14 +108,15 @@ class TestCountRandomised:
 
 
 class TestSampling:
+    """Algorithm 6 through ``sample_batch``, checked against the definition."""
+
     def test_samples_are_valid_zigzags(self, rng):
         g = ordered(random_bigraph(rng, density=0.8))
         if count_zigzags(g, 2, exact=True) == 0:
             return
         dp = ZigzagDP(g, 2)
-        rand = np.random.default_rng(1)
-        for _ in range(100):
-            left, right = dp.sample(2, rand)
+        lefts, rights = dp.sample_batch(2, 100, np.random.default_rng(1))
+        for left, right in zip(lefts.tolist(), rights.tolist()):
             assert left[0] < left[1] and right[0] < right[1]
             assert g.has_edge(left[0], right[0])
             assert g.has_edge(left[1], right[0])
@@ -129,12 +130,11 @@ class TestSampling:
         )
         total = count_zigzags_brute(g, 2)
         dp = ZigzagDP(g, 2)
-        rand = np.random.default_rng(7)
         draws = 30000
-        seen: Counter = Counter()
-        for _ in range(draws):
-            left, right = dp.sample(2, rand)
-            seen[(tuple(left), tuple(right))] += 1
+        lefts, rights = dp.sample_batch(2, draws, np.random.default_rng(7))
+        seen: Counter = Counter(
+            zip(map(tuple, lefts.tolist()), map(tuple, rights.tolist()))
+        )
         assert len(seen) == total
         expectation = draws / total
         for count in seen.values():
@@ -143,30 +143,27 @@ class TestSampling:
     def test_head_restricted_sampling(self):
         g = ordered(complete_bigraph(4, 4))
         dp = ZigzagDP(g, 2)
-        rand = np.random.default_rng(3)
         head = dp.head_range_for_left(0)
-        for _ in range(50):
-            left, _ = dp.sample(2, rand, head)
-            assert left[0] == 0
+        lefts, _ = dp.sample_batch(2, 50, np.random.default_rng(3), head)
+        assert (lefts[:, 0] == 0).all()
 
     def test_sampling_empty_graph_raises(self):
         dp = ZigzagDP(BipartiteGraph(2, 2, []), 2)
         with pytest.raises(ValueError):
-            dp.sample(2, np.random.default_rng(0))
+            dp.sample_batch(2, 1, np.random.default_rng(0))
 
     def test_sampling_no_zigzags_raises(self):
         g = ordered(BipartiteGraph(1, 1, [(0, 0)]))
         dp = ZigzagDP(g, 2)
         with pytest.raises(ValueError):
-            dp.sample(2, np.random.default_rng(0))
+            dp.sample_batch(2, 1, np.random.default_rng(0))
 
     def test_h3_sample_validity(self):
         g = ordered(complete_bigraph(5, 5))
         dp = ZigzagDP(g, 3)
-        rand = np.random.default_rng(5)
-        for _ in range(50):
-            left, right = dp.sample(3, rand)
-            assert len(left) == len(right) == 3
+        lefts, rights = dp.sample_batch(3, 50, np.random.default_rng(5))
+        assert lefts.shape == rights.shape == (50, 3)
+        for left, right in zip(lefts.tolist(), rights.tolist()):
             assert left == sorted(left) and right == sorted(right)
             # Path edges exist.
             for i in range(3):

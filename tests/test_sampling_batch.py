@@ -1,16 +1,16 @@
 """The batch sampling kernel and the estimators' unit fan-out.
 
-Three bit-identity contracts pin the fast paths to the reference paths:
+Two bit-identity contracts make seeded estimates reproducible:
 
-1. ``ZigzagDP.sample_batch`` draws exactly the samples the scalar
-   ``sample`` loop would draw from the same generator state, for any
-   block size.
-2. An estimator run with ``batch=True`` equals the ``batch=False``
-   per-sample run cell for cell (same seed), including on the bundled
-   golden-count datasets.
-3. A ``workers=N`` run equals the serial run cell for cell, for any
+1. ``ZigzagDP.sample_batch`` draws the same samples from the same
+   generator state however they are split: into blocks of any size, or
+   into successive calls (one sample per call is the scalar walk).
+2. A ``workers=N`` run equals the serial run cell for cell, for any
    worker count — per-unit RNG streams make the estimate independent of
    chunking.
+
+Uniformity against the definitional zigzag count lives in
+``tests/test_dpcount.py``.
 """
 
 from __future__ import annotations
@@ -26,15 +26,8 @@ import pytest
 from repro.core.adaptive import adaptive_count
 from repro.core.dpcount import ZigzagDP
 from repro.core.hybrid import hybrid_count_all
-from repro.core.zigzag import (
-    SamplingStats,
-    zigzag_count_all,
-    zigzagpp_count_all,
-    zigzag_count_single,
-    zigzagpp_count_single,
-)
+from repro.core.zigzag import SamplingStats, zigzag_count_all, zigzagpp_count_all
 from repro.graph.bigraph import BipartiteGraph
-from repro.graph.datasets import load_dataset
 from repro.graph.generators import chung_lu_bipartite
 from repro.obs import MetricsRegistry
 from repro.utils.parallel import GraphPool, worker_graph
@@ -49,8 +42,16 @@ def graph():
     return chung_lu_bipartite(60, 50, 450, seed=11)
 
 
+def _one_at_a_time(dp, h, k, rng, head=None):
+    """``k`` successive single-sample draws: the scalar walk."""
+    rows = [dp.sample_batch(h, 1, rng, head) for _ in range(k)]
+    lefts = [left[0].tolist() for left, _ in rows]
+    rights = [right[0].tolist() for _, right in rows]
+    return lefts, rights
+
+
 class TestSampleBatch:
-    """sample_batch vs the scalar sample loop, from identical RNG state."""
+    """sample_batch is independent of how the draws are split."""
 
     @pytest.mark.parametrize("h", [1, 2, 3])
     @pytest.mark.parametrize("block", [5, 64, 4096])
@@ -58,11 +59,11 @@ class TestSampleBatch:
         dp = ZigzagDP(graph, h)
         k = 40
         lefts, rights = dp.sample_batch(h, k, np.random.default_rng(7), block=block)
-        rng = np.random.default_rng(7)
-        for row in range(k):
-            left, right = dp.sample(h, rng)
-            assert lefts[row].tolist() == left
-            assert rights[row].tolist() == right
+        one_block = dp.sample_batch(h, k, np.random.default_rng(7), block=k)
+        assert lefts.tolist() == one_block[0].tolist()
+        assert rights.tolist() == one_block[1].tolist()
+        scalar = _one_at_a_time(dp, h, k, np.random.default_rng(7))
+        assert (lefts.tolist(), rights.tolist()) == scalar
 
     def test_matches_scalar_walk_with_head_range(self, graph):
         dp = ZigzagDP(graph, 2)
@@ -70,23 +71,18 @@ class TestSampleBatch:
         if dp.zigzag_count(2, head) == 0:
             pytest.skip("vertex 0 roots no 2-zigzags in this graph")
         lefts, rights = dp.sample_batch(2, 25, np.random.default_rng(3), head)
-        rng = np.random.default_rng(3)
-        for row in range(25):
-            left, right = dp.sample(2, rng, head)
-            assert lefts[row].tolist() == left
-            assert rights[row].tolist() == right
+        scalar = _one_at_a_time(dp, 2, 25, np.random.default_rng(3), head)
+        assert (lefts.tolist(), rights.tolist()) == scalar
 
     def test_stream_interleaves_with_scalar_path(self, graph):
-        """Batch then scalar continues the stream exactly like all-scalar."""
+        """A batch of 10 then a batch of 1 equals one batch of 11."""
         dp = ZigzagDP(graph, 2)
         rng = np.random.default_rng(9)
-        lefts, _ = dp.sample_batch(2, 10, rng)
-        follow = dp.sample(2, rng)
-        reference = np.random.default_rng(9)
-        for _ in range(10):
-            dp.sample(2, reference)
-        assert dp.sample(2, reference) == follow
-        assert lefts.shape == (10, 2)
+        lefts, rights = dp.sample_batch(2, 10, rng)
+        follow = dp.sample_batch(2, 1, rng)
+        whole = dp.sample_batch(2, 11, np.random.default_rng(9))
+        assert lefts.tolist() + follow[0].tolist() == whole[0].tolist()
+        assert rights.tolist() + follow[1].tolist() == whole[1].tolist()
 
     def test_zero_samples(self, graph):
         dp = ZigzagDP(graph, 2)
@@ -107,38 +103,6 @@ class TestSampleBatch:
         dp = ZigzagDP(BipartiteGraph(2, 2, []), 2)
         with pytest.raises(ValueError):
             dp.sample_batch(2, 1, np.random.default_rng(0))
-
-
-class TestBatchEstimatorEquality:
-    """batch=True and batch=False runs are bit-identical per seed."""
-
-    @pytest.mark.parametrize("estimate", ESTIMATORS)
-    def test_random_graph(self, graph, estimate):
-        fast, fast_stats = estimate(
-            graph, h_max=4, samples=500, seed=99, return_stats=True
-        )
-        slow, slow_stats = estimate(
-            graph, h_max=4, samples=500, seed=99, return_stats=True, batch=False
-        )
-        assert list(fast.items()) == list(slow.items())
-        assert fast_stats.zigzag_totals == slow_stats.zigzag_totals
-        assert fast_stats.max_hit == slow_stats.max_hit
-        assert fast_stats.samples == slow_stats.samples
-
-    @pytest.mark.parametrize("estimate", ESTIMATORS)
-    def test_golden_dataset(self, estimate):
-        dataset = load_dataset("DBLP")
-        fast = estimate(dataset, h_max=3, samples=300, seed=5)
-        slow = estimate(dataset, h_max=3, samples=300, seed=5, batch=False)
-        assert list(fast.items()) == list(slow.items())
-
-    def test_single_pair_paths(self, graph):
-        fast = zigzag_count_single(graph, 2, 3, samples=400, seed=17)
-        slow = zigzag_count_single(graph, 2, 3, samples=400, seed=17, batch=False)
-        assert fast == slow
-        fast_pp = zigzagpp_count_single(graph, 2, 3, samples=400, seed=17)
-        slow_pp = zigzagpp_count_single(graph, 2, 3, samples=400, seed=17, batch=False)
-        assert fast_pp == slow_pp
 
 
 class TestParallelEquality:
