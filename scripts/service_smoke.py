@@ -6,7 +6,8 @@ counts equal the golden values pinned in ``tests/test_golden_counts.py``
 — the same numbers the tier-1 suite holds the engines to, now checked
 through planner, executor, cache, and HTTP socket.  The server runs a
 2-process engine pool; one of its workers is SIGKILLed mid-run and the
-next exact count must still be served, exactly, by a restarted pool.
+next exact count must still be served, exactly, by a restarted pool,
+and a seeded estimate on that pool must equal the in-process estimator.
 Finally the server is stopped with SIGTERM, and none of its engine
 workers may outlive it.
 
@@ -117,6 +118,8 @@ def running(pid: int) -> bool:
 
 
 def main() -> int:
+    from repro.core.zigzag import _estimate_single
+    from repro.graph.datasets import load_dataset
     from tests.test_golden_counts import GOLDEN
 
     golden = GOLDEN[DATASET]
@@ -171,6 +174,16 @@ def main() -> int:
         assert body["value"] == golden[(3, 4)], body
         print(f"killed engine worker {victim}; count(3,4) = {body['value']} "
               "(golden) after the pool restart")
+
+        # Estimates run on the same (restarted) pool; a seeded one must
+        # equal the in-process estimator on the same graph and seed.
+        query = {"graph": DATASET, "p": 3, "q": 4, "method": "zigzag++",
+                 "samples": 2000, "seed": 7}
+        status, body = post(base, "/v1/estimate", query)
+        assert status == 200 and body["method"] == "zigzag++", body
+        local = _estimate_single("zigzag++", load_dataset(DATASET), 3, 4, 2000, 7)
+        assert body["value"] == local, (body["value"], local)
+        print(f"pooled estimate(3,4) = {body['value']} (equals in-process)")
 
         # A repeat is served from the cache.
         status, body = post(base, "/v1/count", {"graph": DATASET, "p": 2, "q": 2})

@@ -37,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.bigraph import BipartiteGraph
+from repro.graph.intersect import as_int64
 from repro.utils.rng import as_generator
 
 __all__ = ["ZigzagDP", "SAMPLE_BLOCK", "count_zigzags", "count_zigzags_naive"]
@@ -69,8 +70,10 @@ class ZigzagDP:
         self.graph = graph
         self.h_max = h_max
         self.exact = exact
-        edges = list(graph.edges())
-        m = len(edges)
+        indptr_l, indices_l, indptr_r, indices_r = (
+            as_int64(buf) for buf in graph.csr_buffers()
+        )
+        m = indices_l.size
         self.num_edges = m
         self._float_cache: dict[tuple[str, int], np.ndarray] = {}
         dtype = object if exact else np.float64
@@ -80,13 +83,12 @@ class ZigzagDP:
             self.a_u = np.zeros(0, dtype=np.int64)
             self.a_v = np.zeros(0, dtype=np.int64)
             return
-        # A-order: edges sorted by (u, v); graph.edges() already is.
-        self.a_u = np.fromiter((e[0] for e in edges), dtype=np.int64, count=m)
-        self.a_v = np.fromiter((e[1] for e in edges), dtype=np.int64, count=m)
-        # B-order: the same edges sorted by (v, u).
-        b_order = np.lexsort((self.a_u, self.a_v))
-        self.b_u = self.a_u[b_order]
-        self.b_v = self.a_v[b_order]
+        # A-order: edges sorted by (u, v) — the left CSR, row by row.
+        self.a_u = np.repeat(np.arange(graph.n_left, dtype=np.int64), np.diff(indptr_l))
+        self.a_v = indices_l
+        # B-order: the same edges sorted by (v, u) — the right CSR.
+        self.b_v = np.repeat(np.arange(graph.n_right, dtype=np.int64), np.diff(indptr_r))
+        self.b_u = indices_r
         span_l = graph.n_left + 1
         span_r = graph.n_right + 1
         key_a = self.a_u * span_r + self.a_v  # sorted ascending

@@ -8,6 +8,8 @@ experiments are reproducible bit-for-bit from a single seed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = ["as_generator", "as_seed_sequence", "spawn", "spawn_sequences"]
@@ -49,20 +51,53 @@ def as_seed_sequence(
     return np.random.SeedSequence(seed)
 
 
+class _LazyChildren(Sequence):
+    """The first ``count`` children of a fresh ``root``, built on access.
+
+    Child ``i`` is the :class:`~numpy.random.SeedSequence` that
+    ``root.spawn(count)[i]`` would be — same entropy, spawn key
+    ``root.spawn_key + (i,)`` and pool size — so its streams are
+    identical; a caller that reads a few children of a large count pays
+    for those few only.
+    """
+
+    def __init__(self, root: np.random.SeedSequence, count: int):
+        self._root, self._count = root, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> np.random.SeedSequence:
+        if not 0 <= index < self._count:
+            raise IndexError("child index out of range")
+        root = self._root
+        return np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (index,), pool_size=root.pool_size
+        )
+
+
 def spawn_sequences(
     seed: "int | None | np.random.Generator | np.random.SeedSequence",
     count: int,
-) -> list[np.random.SeedSequence]:
+) -> "Sequence[np.random.SeedSequence]":
     """Spawn ``count`` independent child seed sequences from ``seed``.
 
     Child ``i`` depends only on the root entropy and ``i``, so the
     mapping ``unit -> stream`` survives any chunking or process fan-out.
     The children are small picklable objects, cheap to ship in worker
     payloads.
+
+    A root made here from an int, ``None`` or a generator is private, so
+    its children are built lazily on indexing.  A caller-supplied
+    :class:`~numpy.random.SeedSequence` goes through its own ``spawn``,
+    which advances its spawn counter (read-only from outside), so a
+    second call on it yields fresh children as ``spawn`` promises.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    return as_seed_sequence(seed).spawn(count) if count else []
+    if isinstance(seed, np.random.SeedSequence):
+        return seed.spawn(count)
+    return _LazyChildren(as_seed_sequence(seed), count)
 
 
 def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:

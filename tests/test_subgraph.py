@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-import random
+import numpy as np
 
-from repro.graph.bigraph import BipartiteGraph
-from repro.graph.subgraph import edge_neighborhood_graph, two_hop_graph
+from repro.graph.bigraph import BipartiteGraph, csr_induce_many
+from repro.graph.subgraph import (
+    edge_neighborhood_graph,
+    edge_neighborhood_graphs,
+    two_hop_graph,
+    two_hop_graphs,
+)
 
 from .conftest import complete_bigraph, random_bigraph
 
@@ -103,3 +108,83 @@ class TestTwoHopGraph:
         g = BipartiteGraph(2, 2, [(1, 0), (1, 1)])
         local = two_hop_graph(g, 0)
         assert local.graph.num_edges == 0
+
+
+def induced_oracle(g: BipartiteGraph, left_ids, right_ids) -> set:
+    """Local edge set of the subgraph induced by two sorted id lists."""
+    right_pos = {v: j for j, v in enumerate(right_ids)}
+    return {
+        (i, right_pos[v])
+        for i, u in enumerate(left_ids)
+        for v in g.neighbors_left(u)
+        if v in right_pos
+    }
+
+
+def assert_consistent_csr(local: BipartiteGraph) -> None:
+    """Sorted rows on both sides, and the right CSR mirrors the left."""
+    for u in range(local.n_left):
+        row = local.neighbors_left(u)
+        assert list(row) == sorted(set(row))
+    mirrored = {(u, v) for v in range(local.n_right) for u in local.neighbors_right(v)}
+    for v in range(local.n_right):
+        row = local.neighbors_right(v)
+        assert list(row) == sorted(set(row))
+    assert mirrored == set(local.edges())
+
+
+class TestBatchedInduction:
+    """Every unit of one batched call equals its set-based oracle,
+    whatever the other units in the batch are (empty ones included)."""
+
+    def test_csr_induce_many_matches_oracle(self, rng):
+        for _ in range(20):
+            g = random_bigraph(rng, 9, 8)
+            units = []
+            for _ in range(rng.randint(1, 6)):
+                left = sorted(rng.sample(range(g.n_left), rng.randint(0, g.n_left)))
+                right = sorted(rng.sample(range(g.n_right), rng.randint(0, g.n_right)))
+                units.append((left, right))
+            left_off = np.cumsum([0] + [len(left) for left, _ in units])
+            right_off = np.cumsum([0] + [len(right) for _, right in units])
+            locals_ = csr_induce_many(
+                g,
+                [u for left, _ in units for u in left], left_off,
+                [v for _, right in units for v in right], right_off,
+            )
+            assert len(locals_) == len(units)
+            for (left, right), local in zip(units, locals_):
+                assert local.shape[:2] == (len(left), len(right))
+                assert set(local.edges()) == induced_oracle(g, left, right)
+                assert_consistent_csr(local)
+
+    def test_empty_batch(self):
+        g = complete_bigraph(2, 2)
+        assert csr_induce_many(g, [], [0], [], [0]) == []
+
+    def test_two_hop_graphs_match_oracle(self, rng):
+        for _ in range(20):
+            g = ordered(random_bigraph(rng, 9, 8, density=0.3))
+            ws = sorted(rng.sample(range(g.n_left), rng.randint(1, g.n_left)))
+            for w, local in zip(ws, two_hop_graphs(g, ws)):
+                right = g.neighbors_left(w)
+                left = sorted({w} | {u for v in right for u in g.neighbors_right(v) if u > w})
+                assert local.left_ids == tuple(left)
+                assert local.right_ids == right
+                assert set(local.graph.edges()) == induced_oracle(g, left, right)
+                assert_consistent_csr(local.graph)
+
+    def test_edge_neighborhood_graphs_match_oracle(self, rng):
+        for _ in range(20):
+            g = ordered(random_bigraph(rng, 8, 8))
+            edges = list(g.edges())
+            if not edges:
+                continue
+            chosen = rng.sample(edges, min(len(edges), 7))
+            for (u, v), local in zip(chosen, edge_neighborhood_graphs(g, chosen)):
+                left = [x for x in g.neighbors_right(v) if x > u]
+                right = [y for y in g.neighbors_left(u) if y > v]
+                assert local.left_ids == tuple(left)
+                assert local.right_ids == tuple(right)
+                assert set(local.graph.edges()) == induced_oracle(g, left, right)
+                assert_consistent_csr(local.graph)

@@ -15,7 +15,7 @@ from repro.utils.combinatorics import (
     stars_side_counts,
 )
 from repro.utils.maxflow import DinicMaxFlow
-from repro.utils.rng import as_generator, spawn
+from repro.utils.rng import as_generator, as_seed_sequence, spawn, spawn_sequences
 from repro.utils.timer import Stopwatch, timed
 
 
@@ -79,6 +79,31 @@ class TestRng:
     def test_spawn_negative(self):
         with pytest.raises(ValueError):
             spawn(np.random.default_rng(1), -1)
+
+    @pytest.mark.parametrize("seed", [0, 12345, "generator"])
+    def test_lazy_children_equal_spawned(self, seed):
+        if seed == "generator":
+            lazy = spawn_sequences(np.random.default_rng(3), 40)
+            spawned = as_seed_sequence(np.random.default_rng(3)).spawn(40)
+        else:
+            lazy = spawn_sequences(seed, 40)
+            spawned = np.random.SeedSequence(seed).spawn(40)
+        assert len(lazy) == 40
+        for index in (0, 1, 17, 39):
+            assert np.array_equal(
+                lazy[index].generate_state(8), spawned[index].generate_state(8)
+            )
+        with pytest.raises(IndexError):
+            lazy[40]
+
+    def test_caller_seed_sequence_keeps_spawn(self):
+        root = np.random.SeedSequence(9)
+        first = spawn_sequences(root, 3)
+        second = spawn_sequences(root, 3)
+        assert root.n_children_spawned == 6
+        reference = np.random.SeedSequence(9).spawn(6)
+        for got, want in zip(list(first) + list(second), reference):
+            assert np.array_equal(got.generate_state(4), want.generate_state(4))
 
 
 class TestTimer:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.brute import count_bicliques_brute
+from repro.core import hybrid as hybrid_module
+from repro.core import zigzag as zigzag_module
 from repro.core.counts import BicliqueCounts
 from repro.core.epivoter import count_all
 from repro.core.zigzag import (
@@ -19,7 +21,9 @@ from repro.core.zigzag import (
     zigzagpp_count_all,
     zigzagpp_count_single,
 )
+from repro.core.hybrid import hybrid_count_single
 from repro.graph.bigraph import BipartiteGraph
+from repro.graph.generators import chung_lu_bipartite
 from repro.graph.subgraph import edge_neighborhood_graph, two_hop_graph
 
 from .conftest import complete_bigraph, random_bigraph
@@ -236,6 +240,39 @@ class TestSingleCounting:
             zigzag_count_single(self.graph, 0, 2)
         with pytest.raises(ValueError):
             zigzagpp_count_single(self.graph, 2, 0)
+
+
+#: Seeded single-cell estimates on ``chung_lu_bipartite(60, 50, 450,
+#: seed=11)`` with 300 samples and seed 5, pinned from the estimators
+#: that still filled every star cell before reading the one asked for.
+PINNED_SINGLE = {
+    "zigzag(3,4)": (lambda g: zigzag_count_single(g, 3, 4, samples=300, seed=5),
+                    4792.658888888889),
+    "zigzag++(4,4)": (lambda g: zigzagpp_count_single(g, 4, 4, samples=300, seed=5),
+                      975.9133333333333),
+    "zigzag++(5,2)": (lambda g: zigzagpp_count_single(g, 5, 2, samples=300, seed=5),
+                      106965.13916666666),
+    "hybrid(3,3)": (lambda g: hybrid_count_single(g, 3, 3, samples=300, seed=5),
+                    7084.253333333333),
+    "hybrid++(4,3)": (lambda g: hybrid_count_single(
+        g, 4, 3, samples=300, seed=5, estimator="zigzag++"), 6969.8),
+}
+
+
+class TestSingleCellSkipsStars:
+    """A single cell with min(p, q) >= 2 never reads a star cell, so
+    the star pass is skipped; the estimates must not move."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SINGLE))
+    def test_values_unchanged_without_star_pass(self, name, monkeypatch):
+        estimate, pinned = PINNED_SINGLE[name]
+
+        def no_stars(*_args, **_kwargs):
+            raise AssertionError("star pass ran for a min(p, q) >= 2 cell")
+
+        monkeypatch.setattr(zigzag_module, "star_counts", no_stars)
+        monkeypatch.setattr(hybrid_module, "star_counts", no_stars)
+        assert estimate(chung_lu_bipartite(60, 50, 450, seed=11)) == pinned
 
 
 class TestParameterValidation:
