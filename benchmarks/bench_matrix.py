@@ -1,9 +1,11 @@
 """Micro-benchmark: sparse-matrix kernels vs EPivoter on small (p, q).
 
 :func:`repro.core.matrix.matrix_count_single` against
-``EPivoter.count_single`` at (2, 2), (2, 3), and (3, 3) on one seeded
-Chung–Lu graph.  The timings are recorded for the trajectory, not
-asserted: absolute speed is guarded by the repository benchmark
+``EPivoter.count_single`` on every matrix shape the repository
+benchmark serves — (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3),
+(2, 5) and (5, 2) — on one seeded Chung–Lu graph, so both the left-side
+``(2, q)`` folds and the right-side ``(p, 2)`` folds are checked.  The
+timings are recorded for the trajectory, not asserted: absolute speed is guarded by the repository benchmark
 (``perfbench/``), and EPivoter's core reduction makes its runtime
 shape-dependent in ways a single ratio threshold would flake on.
 
@@ -34,7 +36,7 @@ from repro.graph.generators import chung_lu_bipartite  # noqa: E402
 #: small enough that the EPivoter comparison runs in seconds.
 GRAPH_PARAMS = dict(n_left=400, n_right=400, num_edges=6000, seed=0xB1C)
 
-SMALL_CELLS = ((2, 2), (2, 3), (3, 3))
+SMALL_CELLS = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3), (2, 5), (5, 2))
 
 
 def _best_of(fn, repeats: int) -> float:

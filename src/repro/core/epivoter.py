@@ -48,10 +48,12 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Callable
 
+import numpy as np
+
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.core_decomposition import core_for_biclique
-from repro.graph.intersect import intersect_size, intersect_sorted
+from repro.graph.intersect import as_int64, intersect_size, intersect_sorted
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACE
 from repro.utils.combinatorics import binomial
@@ -254,11 +256,24 @@ class EPivoter:
             max_q = max(self.graph.degrees_left(), default=1)
         roots = None
         if left_region is not None:
-            roots = [(u, v) for u, v in self.graph.edges() if u in left_region]
+            roots = self._region_roots(left_region)
         return self._fan_out(
             ("all", max(1, max_p), max(1, max_q)), roots, workers, obs,
             pool=pool, heartbeat=heartbeat,
         )
+
+    def _region_roots(self, left_region) -> "list[tuple[int, int]]":
+        """Root edges whose left endpoint is in ``left_region``, in
+        edge-id order (ids outside the left side match no edge)."""
+        graph = self.graph
+        indptr_l, indices_l, _, _ = graph.csr_buffers()
+        indptr = as_int64(indptr_l)
+        region = np.fromiter(left_region, dtype=np.int64, count=len(left_region))
+        in_region = np.zeros(graph.n_left, dtype=bool)
+        in_region[region[(region >= 0) & (region < graph.n_left)]] = True
+        rows = np.repeat(np.arange(graph.n_left, dtype=np.int64), np.diff(indptr))
+        keep = in_region[rows]
+        return list(zip(rows[keep].tolist(), as_int64(indices_l)[keep].tolist()))
 
     def count_single(
         self,

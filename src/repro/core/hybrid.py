@@ -28,9 +28,10 @@ from repro.core.zigzag import (
     zigzagpp_count_all,
 )
 from repro.graph.bigraph import BipartiteGraph
+from repro.graph.intersect import as_int64, exclusive_cumsum
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACE, Trace
-from repro.utils.parallel import GraphPool
+from repro.utils.parallel import GraphPool, root_edge_weights
 
 __all__ = [
     "partition_graph",
@@ -47,20 +48,15 @@ def vertex_weights(graph: BipartiteGraph) -> list[int]:
     of ordering-neighbor edge pairs rooted at each of ``u``'s edges, a
     cheap proxy for how much enumeration work the edge-rooted searches of
     EPivoter would spend on ``u``.  Requires a degree-ordered graph; runs
-    in ``O(|E|)``.
+    in ``O(|E|)``: each term is the weight
+    :func:`repro.utils.parallel.root_edge_weights` gives edge ``(u, v)``.
     """
-    # Copy: degrees_right() is the graph's cache and this loop decrements.
-    remaining_right = list(graph.degrees_right())
-    weights = [0] * graph.n_left
-    for u in range(graph.n_left):
-        remaining_u = graph.degree_left(u)
-        total = 0
-        for v in graph.neighbors_left(u):
-            remaining_right[v] -= 1
-            remaining_u -= 1
-            total += remaining_right[v] * remaining_u
-        weights[u] = total
-    return weights
+    # w(u) sums u's root-edge weights; u's edges are the contiguous
+    # edge-id range indptr[u]:indptr[u + 1], so each sum is a difference
+    # of one exact int64 running total.
+    indptr = as_int64(graph.csr_buffers()[0])
+    running = exclusive_cumsum(root_edge_weights(graph))
+    return (running[indptr[1:]] - running[indptr[:-1]]).tolist()
 
 
 def partition_graph(

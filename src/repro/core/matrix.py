@@ -9,23 +9,32 @@ matrix (``M[u, u'] = |N(u) ∩ N(u')|``, ``M[u, u] = d(u)``):
 * ``min(p, q) == 1`` — stars: ``sum(C(d, q))`` over the anchoring side's
   degree sequence (no matrix needed);
 * ``p == 2`` — every left pair with ``m`` common neighbors closes
-  ``C(m, q)`` bicliques, so the count is
-  ``(sum_over_stored_entries C(M, q) - sum_u C(d(u), q)) / 2``
-  (strip the diagonal, halve the symmetric double count);
+  ``C(m, q)`` bicliques, so the count is ``sum(count * C(m, q))`` over
+  the off-diagonal overlap histogram of ``M``'s stored entries
+  (:func:`repro.graph.sparse.overlap_histogram`: strip the diagonal,
+  halve the symmetric double count).  The fold reads ``M``'s values
+  only, so the product is used as scipy emits it, rows unsorted;
 * ``q == 2`` — the transpose-side twin over ``A.T @ A``;
-* ``(3, 3)`` — an anchored pass: for each left vertex ``u`` (the
-  largest of its triple), candidates are ``u' < u`` with
-  ``M[u, u'] >= 3``; a 0/1 membership matrix ``B`` of candidates against
-  ``N(u)`` gives ``P = B @ B.T`` with
-  ``P[c, c'] = |N(c) ∩ N(c') ∩ N(u)|``, and the anchor contributes
-  ``sum_{c < c'} C(P[c, c'], 3)``.
+* ``(3, 3)`` — an anchored pass in a few array passes.  The anchor of a
+  triple is its largest left vertex ``u``; its candidates are the
+  ``u' < u`` with ``M[u, u'] >= 3``, taken straight from ``M``'s stored
+  (row, column, value) triples, and only anchors with two or more
+  candidates count.  One elementwise product ``A[c] ∘ A[u]`` over all
+  (anchor, candidate) rows finds each candidate's neighbors inside its
+  anchor's ``N(u)``; keyed by the anchor's edge ids, those hits fill a
+  0/1 membership matrix ``B`` that is block diagonal (two anchors own
+  disjoint edge ids).  ``P = B @ B.T`` then holds
+  ``P[c, c'] = |N(c) ∩ N(c') ∩ N(u)|`` for candidates of one anchor and
+  nothing across anchors, and the count is ``sum_{c < c'} C(P[c, c'], 3)``
+  over its strict upper triangle.  Anchors are taken in chunks whose
+  ``sum(candidates**2)`` (the blocks' cell count) stays within
+  ``_CHUNK_CELLS``, which bounds the product's memory.
 
 Exactness: matrix entries are int64 intersection sizes (bounded by max
-degree); binomial folds promote to Python integers per distinct value
-(:func:`repro.graph.sparse.binomial_sum`), and the dense ``(3, 3)``
-matmul runs in float64, exact for integers below ``2**53`` — far above
-any reachable overlap count.  Every cell is bit-identical to EPivoter;
-the golden-counts suite pins this.
+degree), and binomial folds promote to Python integers per distinct
+value (:func:`repro.graph.sparse.binomial_sum`); no product runs in
+floating point.  Every cell is bit-identical to EPivoter; the
+golden-counts suite pins this.
 
 Shape support is :func:`matrix_supported`.  The service planner prices
 this engine from :func:`repro.graph.sparse.pair_work` before routing to
@@ -41,7 +50,7 @@ import scipy.sparse as sp
 
 from repro.core.counts import BicliqueCounts
 from repro.graph.bigraph import LEFT, RIGHT, BipartiteGraph
-from repro.graph.intersect import as_int64
+from repro.graph.intersect import as_int64, exclusive_cumsum
 from repro.graph.sparse import (
     biadjacency,
     binomial_sum,
@@ -52,7 +61,7 @@ from repro.graph.sparse import (
 )
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_TRACE
-from repro.utils.combinatorics import binomial, stars_side_counts
+from repro.utils.combinatorics import stars_side_counts
 
 if TYPE_CHECKING:
     from repro.obs.trace import Trace
@@ -70,10 +79,12 @@ __all__ = [
 MATRIX_MAX_P = 3
 MATRIX_MAX_Q = 3
 
-#: Dense membership matrices in the (3, 3) anchored pass are capped at
-#: this many cells per anchor; larger anchors fall back to a sparse
-#: product at the same exactness.
-_DENSE_CELL_CAP = 16_000_000
+#: Chunk bound of the (3, 3) pass, in cells of its block-diagonal
+#: ``B @ B.T``: a chunk takes anchors while the sum of their squared
+#: candidate counts stays within it, so the product's size is bounded
+#: however many anchors the graph has.  An anchor whose own block is
+#: larger forms a chunk alone.
+_CHUNK_CELLS = 1 << 19
 
 
 def matrix_supported(p: int, q: int) -> bool:
@@ -103,65 +114,92 @@ def _pair_side_count(graph: BipartiteGraph, side: int, k: int) -> int:
     return histogram_binomial_fold(overlap_histogram(graph, side), k)
 
 
+def _anchor_pairs(graph: BipartiteGraph):
+    """The (3, 3) pass's ``(anchor, candidate)`` pairs, grouped by anchor.
+
+    The anchor is the largest left vertex of its triple, and any triple
+    member shares >= 3 right vertices with the anchor, so the pairs are
+    the pair matrix's entries with ``candidate < anchor`` and overlap
+    ``>= 3``, kept for anchors with at least two candidates.  The pair
+    matrix's rows come out in order, which groups the pairs by anchor.
+    Returns ``(anchor, candidate, sizes)`` with ``sizes`` the candidate
+    count of each distinct anchor, in order.
+    """
+    pairs = pair_matrix(graph, LEFT)
+    rows = np.repeat(
+        np.arange(graph.n_left, dtype=np.int64), np.diff(pairs.indptr)
+    )
+    columns = as_int64(pairs.indices)
+    keep = (columns < rows) & (pairs.data >= 3)
+    anchor, candidate = rows[keep], columns[keep]
+    per_anchor = np.bincount(anchor, minlength=graph.n_left)
+    keep = per_anchor[anchor] >= 2
+    return anchor[keep], candidate[keep], per_anchor[per_anchor >= 2]
+
+
 def _count_33(graph: BipartiteGraph, obs: MetricsRegistry = NULL_REGISTRY) -> int:
-    """Exact (3, 3)-biclique count via the anchored per-vertex pass."""
+    """Exact (3, 3)-biclique count via the chunked block-diagonal pass."""
     # Anchor on whichever side has the cheaper pair matrix; (3, 3) is
     # symmetric, so counting over the swapped view is the same number.
     if pair_work(graph, LEFT) > pair_work(graph, RIGHT):
         graph = graph.swap_sides()
-    pairs = pair_matrix(graph, LEFT)
-    indptr_l, indices_l, _, _ = graph.csr_buffers()
-    indptr = as_int64(indptr_l)
-    indices = as_int64(indices_l)
-    pair_indptr, pair_indices, pair_data = pairs.indptr, pairs.indices, pairs.data
+    anchor, candidate, sizes = _anchor_pairs(graph)
+    obs.incr("matrix.anchors_33", int(sizes.size))
+    if not sizes.size:
+        return 0
 
-    adjacency = None  # built lazily, only if an anchor needs the sparse path
+    adjacency = biadjacency(graph)
+    # A again, each entry valued with its edge id + 1 (a stored zero
+    # would be dropped by the elementwise product).
+    edge_ids = sp.csr_matrix(
+        (
+            np.arange(1, graph.num_edges + 1, dtype=np.int64),
+            adjacency.indices,
+            adjacency.indptr,
+        ),
+        shape=adjacency.shape,
+    )
+    pair_offsets = exclusive_cumsum(sizes)
+    cell_offsets = exclusive_cumsum(sizes * sizes)
     total = 0
-    anchors = 0
-    for u in range(graph.n_left):
-        cols_u = indices[indptr[u] : indptr[u + 1]]
-        if cols_u.size < 3:
-            continue
-        row = slice(pair_indptr[u], pair_indptr[u + 1])
-        row_ids = pair_indices[row]
-        row_vals = pair_data[row]
-        # The anchor is the largest left vertex of its triple, and any
-        # triple member shares >= 3 right vertices with the anchor.
-        candidates = row_ids[(row_ids < u) & (row_vals >= 3)]
-        if candidates.size < 2:
-            continue
-        anchors += 1
-        if candidates.size * cols_u.size <= _DENSE_CELL_CAP:
-            starts = indptr[candidates]
-            lengths = indptr[candidates + 1] - starts
-            flat_rows = np.repeat(np.arange(candidates.size), lengths)
-            within = np.arange(int(lengths.sum())) - np.repeat(
-                np.cumsum(lengths) - lengths, lengths
+    start = 0
+    while start < sizes.size:
+        stop = int(
+            np.searchsorted(
+                cell_offsets[1:], cell_offsets[start] + _CHUNK_CELLS, side="right"
             )
-            flat = indices[np.repeat(starts, lengths) + within]
-            # Membership of each candidate neighbor in N(u): searchsorted
-            # against the sorted cols_u, then verify the hit.
-            position = np.searchsorted(cols_u, flat)
-            clipped = np.minimum(position, cols_u.size - 1)
-            hit = cols_u[clipped] == flat
-            membership = np.zeros(
-                (candidates.size, cols_u.size), dtype=np.float64
-            )
-            membership[flat_rows[hit], position[hit]] = 1.0
-            # float64 matmul is exact here: overlaps are bounded by the
-            # max degree, nowhere near 2**53.
-            overlaps = (membership @ membership.T).astype(np.int64)
-            fold_all = binomial_sum(overlaps.ravel(), 3)
-            fold_diag = binomial_sum(np.ascontiguousarray(np.diagonal(overlaps)), 3)
-            total += (fold_all - fold_diag) // 2
-        else:  # pragma: no cover - exercised only by huge dense anchors
-            if adjacency is None:
-                adjacency = biadjacency(graph)
-            restricted = adjacency[candidates][:, cols_u]
-            upper = sp.triu(restricted @ restricted.T, k=1).tocoo()
-            total += binomial_sum(upper.data, 3)
-    obs.incr("matrix.anchors_33", anchors)
+        )
+        stop = max(stop, start + 1)
+        chunk = slice(pair_offsets[start], pair_offsets[stop])
+        total += _fold_anchor_block(
+            adjacency, edge_ids, anchor[chunk], candidate[chunk]
+        )
+        start = stop
     return total
+
+
+def _fold_anchor_block(adjacency, edge_ids, anchor, candidate) -> int:
+    """``sum C(|N(c) ∩ N(c') ∩ N(a)|, 3)`` over one chunk's anchors.
+
+    ``(anchor[i], candidate[i])`` are the chunk's pairs, and the sum
+    runs over the unordered candidate pairs ``c, c'`` of each anchor
+    ``a``.  Row ``i`` of the elementwise product ``A[c_i] ∘ ids[a_i]``
+    is ``N(c_i) ∩ N(a_i)``, each hit valued with the id of the anchor's
+    edge to it.  Those edge ids are the columns of the 0/1 membership
+    matrix ``B``; two anchors own disjoint edge ids, so ``B @ B.T`` is
+    block diagonal, and entry ``(i, j)`` inside a block is the triple
+    overlap of two candidates of one anchor.
+    """
+    hits = adjacency[candidate].multiply(edge_ids[anchor]).tocsr()
+    membership = sp.csr_matrix(
+        (np.ones(hits.nnz, dtype=np.int64), hits.data - 1, hits.indptr),
+        shape=(candidate.size, edge_ids.nnz),
+    )
+    # The strictly upper triangle, read as (all - diagonal) / 2: the
+    # stored diagonal is each candidate's overlap with its anchor.
+    overlaps = membership @ membership.T
+    diagonal = np.diff(hits.indptr)
+    return (binomial_sum(overlaps.data, 3) - binomial_sum(diagonal, 3)) // 2
 
 
 def matrix_count_single(
@@ -210,8 +248,8 @@ def matrix_count_all(
     """Exact counts for every cell ``p <= max_p, q <= max_q``.
 
     Only extents where every cell has a closed form are accepted
-    (``max_p, max_q <= 3``); each pair matrix is built once and folded
-    for all the cells that read it.
+    (``max_p, max_q <= 3``); each side's overlap histogram is built once
+    and folded for all the cells that read it.
     """
     if max_p > MATRIX_MAX_P or max_q > MATRIX_MAX_Q:
         raise ValueError(
@@ -229,19 +267,13 @@ def matrix_count_all(
         for p in range(2, max_p + 1):
             counts.set(p, 1, stars_side_counts(degrees_right, p))
         if max_p >= 2 and max_q >= 2:
-            pairs_left = pair_matrix(graph, LEFT)
-            diag = {q: sum(binomial(d, q) for d in degrees_left) for q in range(2, max_q + 1)}
+            overlaps_left = overlap_histogram(graph, LEFT)
             for q in range(2, max_q + 1):
-                counts.set(
-                    2, q, (binomial_sum(pairs_left.data, q) - diag[q]) // 2
-                )
+                counts.set(2, q, histogram_binomial_fold(overlaps_left, q))
         if max_p >= 3 and max_q >= 2:
-            pairs_right = pair_matrix(graph, RIGHT)
+            overlaps_right = overlap_histogram(graph, RIGHT)
             for p in range(3, max_p + 1):
-                diagonal = sum(binomial(d, p) for d in degrees_right)
-                counts.set(
-                    p, 2, (binomial_sum(pairs_right.data, p) - diagonal) // 2
-                )
+                counts.set(p, 2, histogram_binomial_fold(overlaps_right, p))
         if max_p >= 3 and max_q >= 3:
             counts.set(3, 3, _count_33(graph, obs=obs))
         return counts

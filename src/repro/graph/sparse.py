@@ -68,17 +68,28 @@ def pair_matrix(graph: "BipartiteGraph", side: int = LEFT) -> "sp.csr_matrix":
     ``M[u, u'] = |N(u) ∩ N(u')|`` and ``M[u, u] = d(u)``; ``side=RIGHT``
     returns the transpose-side twin ``A.T @ A`` over right-vertex pairs.
     Entries are int64 intersection sizes — exact by construction.
+
+    The product is returned as scipy emits it: each row holds exactly
+    its nonzero entries, but the column indices within a row are **not
+    sorted**.  Every closed form folds over the entries' values (or over
+    (row, column) pairs as a set), never over their order, so the sort
+    would be pure cost.
     """
     if side == LEFT:
         adjacency = biadjacency(graph)
-        result = adjacency @ adjacency.T
     elif side == RIGHT:
         adjacency = biadjacency(graph.swap_sides())
-        result = adjacency @ adjacency.T
     else:
         raise ValueError("side must be LEFT (0) or RIGHT (1)")
-    result.sort_indices()
-    return result
+    return adjacency @ adjacency.T
+
+
+def _side_degrees(graph: "BipartiteGraph", side: int) -> "np.ndarray":
+    """``side``'s degree sequence as int64 ``indptr`` differences."""
+    if side not in (LEFT, RIGHT):
+        raise ValueError("side must be LEFT (0) or RIGHT (1)")
+    indptr = graph.csr_buffers()[0 if side == LEFT else 2]
+    return np.diff(as_int64(indptr))
 
 
 def pair_work(graph: "BipartiteGraph", side: int = LEFT) -> int:
@@ -86,18 +97,18 @@ def pair_work(graph: "BipartiteGraph", side: int = LEFT) -> int:
 
     ``M = A @ A.T`` touches each right vertex's neighbor list once per
     neighbor, so the work (and an upper bound on ``M``'s stored entry
-    count) is ``sum_v d(v)^2`` over the *opposite* side's degrees.  Pure
-    Python over the cached degree lists — no matrix is built, which is
-    what lets the service planner price the fast path from a
-    :class:`~repro.service.planner.GraphProfile`.
+    count) is ``sum_v d(v)^2`` over the *opposite* side's degrees.  The
+    sum runs over a degree ``bincount``, one exact Python-int term per
+    distinct degree, straight from the CSR ``indptr`` — no matrix is
+    built, which is what lets the service planner price the fast path
+    from a :class:`~repro.service.planner.GraphProfile`.
     """
-    if side == LEFT:
-        degrees = graph.degrees_right()
-    elif side == RIGHT:
-        degrees = graph.degrees_left()
-    else:
+    if side not in (LEFT, RIGHT):
         raise ValueError("side must be LEFT (0) or RIGHT (1)")
-    return sum(d * d for d in degrees)
+    histogram = np.bincount(_side_degrees(graph, RIGHT if side == LEFT else LEFT))
+    return sum(
+        int(histogram[d]) * d * d for d in np.flatnonzero(histogram).tolist()
+    )
 
 
 def binomial_sum(values: "np.ndarray", k: int) -> int:
@@ -132,27 +143,18 @@ def overlap_histogram(graph: "BipartiteGraph", side: int = LEFT) -> dict[int, in
     incremental and from-scratch paths share one data shape.
 
     The histogram is a ``bincount`` over the pair matrix's stored
-    entries minus the diagonal.
+    entries minus a ``bincount`` of the degrees (the stored diagonal:
+    every vertex with ``d >= 1`` has the entry ``M[u, u] = d``), halved
+    for the symmetric double count.
     """
-    if side == LEFT:
-        degrees = graph.degrees_left
-    elif side == RIGHT:
-        degrees = graph.degrees_right
-    else:
-        raise ValueError("side must be LEFT (0) or RIGHT (1)")
+    degrees = _side_degrees(graph, side)
     pairs = pair_matrix(graph, side)
-    counts = np.bincount(pairs.data) if pairs.data.size else np.zeros(1, np.int64)
-    histogram = {
-        int(m): int(c) for m, c in enumerate(counts) if c and m >= 1
-    }
-    # Stored diagonal entries are the degrees (only d >= 1 vertices
-    # have a stored entry); strip them, then halve the symmetry.
-    for d in degrees():
-        if d >= 1:
-            histogram[d] -= 1
-            if not histogram[d]:
-                del histogram[d]
-    return {m: c // 2 for m, c in histogram.items()}
+    if not pairs.data.size:
+        return {}
+    counts = np.bincount(pairs.data)
+    counts -= np.bincount(degrees, minlength=counts.size)
+    counts[0] = 0  # isolated vertices: no stored entry, no pairs
+    return {m: int(counts[m]) // 2 for m in np.flatnonzero(counts).tolist()}
 
 
 def histogram_binomial_fold(histogram: dict[int, int], k: int) -> int:

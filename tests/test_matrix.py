@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.matrix as matrix_engine
 from repro.baselines.brute import count_bicliques_brute
 from repro.core.epivoter import count_single
 from repro.core.matrix import (
@@ -21,6 +22,7 @@ from repro.core.matrix import (
 )
 from repro.graph.bigraph import BipartiteGraph
 from repro.graph.datasets import load_dataset
+from repro.obs.registry import MetricsRegistry
 
 from .conftest import complete_bigraph, random_bigraph
 from .test_golden_counts import GOLDEN
@@ -117,3 +119,24 @@ class TestGoldenDatasets:
         counts = matrix_count_all(graph)
         for p, q, value in counts.items():
             assert value == GOLDEN[name][(p, q)], (name, p, q)
+
+
+class TestChunkedPass:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_one_anchor_per_chunk(self, name, monkeypatch):
+        # A one-cell bound leaves every anchor's block alone in its chunk
+        # (a block has at least 2 x 2 cells); the fold must not change.
+        chunk_anchors = []
+        fold = matrix_engine._fold_anchor_block
+
+        def spy(adjacency, edge_ids, anchor, candidate):
+            chunk_anchors.append(len(set(anchor.tolist())))
+            return fold(adjacency, edge_ids, anchor, candidate)
+
+        monkeypatch.setattr(matrix_engine, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(matrix_engine, "_fold_anchor_block", spy)
+        obs = MetricsRegistry()
+        graph = load_dataset(name)
+        assert matrix_count_single(graph, 3, 3, obs=obs) == GOLDEN[name][(3, 3)]
+        assert set(chunk_anchors) <= {1}
+        assert len(chunk_anchors) == obs.counters.get("matrix.anchors_33", 0)

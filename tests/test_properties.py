@@ -15,11 +15,13 @@ from repro.baselines.brute import (
 )
 from repro.core.dpcount import count_zigzags
 from repro.core.epivoter import EPivoter, count_all, count_single
+from repro.core.matrix import matrix_count_single, matrix_supported
 from repro.core.mbce import enumerate_maximal_bicliques
 from repro.core.zigzag import star_counts
 from repro.core.counts import BicliqueCounts
-from repro.graph.bigraph import BipartiteGraph
+from repro.graph.bigraph import LEFT, RIGHT, BipartiteGraph
 from repro.graph.core_decomposition import alpha_beta_core
+from repro.graph.sparse import overlap_histogram
 from repro.utils.combinatorics import binomial
 
 SETTINGS = settings(
@@ -186,3 +188,29 @@ class TestStarCountProperties:
         for p in range(1, 4):
             for q in range(1, 4):
                 assert a[p, q] + b[p, q] == total[p, q]
+
+
+class TestMatrixProperties:
+    @SETTINGS
+    @given(bigraphs())
+    def test_closed_forms_match_brute(self, g):
+        for p in range(1, 6):
+            for q in range(1, 6):
+                if matrix_supported(p, q):
+                    assert matrix_count_single(g, p, q) == count_bicliques_brute(
+                        g, p, q
+                    ), (p, q)
+
+    @SETTINGS
+    @given(bigraphs())
+    def test_overlap_histogram_matches_pair_count(self, g):
+        for side, n, neighbors in (
+            (LEFT, g.n_left, g.neighbors_left),
+            (RIGHT, g.n_right, g.neighbors_right),
+        ):
+            expected: dict[int, int] = {}
+            for a, b in combinations(range(n), 2):
+                m = len(set(neighbors(a)) & set(neighbors(b)))
+                if m:
+                    expected[m] = expected.get(m, 0) + 1
+            assert overlap_histogram(g, side) == expected, side
