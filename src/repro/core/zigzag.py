@@ -50,22 +50,19 @@ deterministic at unit granularity:
   adaptive round share it; a repeat estimate on the same graph builds DP
   state only for the units it samples.  The memo lives and dies with the
   graph object, so a mutated graph version starts with an empty one.
-  Built ``(LocalSubgraph, ZigzagDP)`` state is *not* kept across
-  calls (it measured 5–43 MiB per served graph, kind and level): within
-  one call the totals and sampling passes share an LRU of it (the
-  per-worker :func:`repro.utils.parallel.worker_cache` on the process
-  path), so a unit built for its totals is not rebuilt to sample it.
-  Pool workers can outlive a call, so every call sends a per-call token
-  with its chunks and a worker drops the previous call's states when
-  the token changes (:func:`_worker_lru`): states are never reused
-  across calls, but an idle worker holds the last call's until the next
-  call reaches it.
+* **unit state lasts one pass**: built ``(LocalSubgraph, ZigzagDP)``
+  state is used where it is built and dropped (:func:`_unit_states`),
+  so a pass holds at most one ``UNIT_BATCH`` of it and nothing outlives
+  a call, in the parent or in a resident pool worker.  The sampling
+  pass rebuilds the units it samples (``zigzag.dp_rebuild_cells``).
 * **unit fan-out**: ``workers=`` chunks the units over processes via
   :class:`repro.utils.parallel.GraphPool`; the graph ships once for both
   passes and per-unit partial sums merge back in unit order, preserving
   float-accumulation order exactly.  ``pool=`` runs both passes on a
   caller's resident pool instead (the service executor passes each
-  graph's), which ships nothing and is left open.
+  graph's), which ships nothing and is left open.  Each pass has one
+  chunk function (:func:`_totals_chunk`, :func:`_sampling_chunk`); a
+  serial run calls it in-process on a single chunk.
 * **no star pass for one cell**: the closed-form star cells are
   computed only by the all-cells estimators; a caller that names its
   sampled ``levels`` (:func:`_estimate_single`, hybrid's and adaptive's
@@ -74,10 +71,8 @@ deterministic at unit granularity:
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,7 +91,6 @@ from repro.utils.parallel import (
     resolve_workers,
     split_worker_results,
     weighted_ranges,
-    worker_cache,
     worker_graph,
     worker_warmup_seconds,
 )
@@ -111,12 +105,6 @@ __all__ = [
     "star_counts",
 ]
 
-#: Units whose built ``(LocalSubgraph, ZigzagDP)`` state stays resident
-#: between the totals pass and the sampling pass (per process).  Beyond
-#: this many units the least-recently-used state is evicted and rebuilt
-#: on demand (counted as ``zigzag.dp_cache_misses``).
-DP_CACHE_UNITS = 65536
-
 #: Units whose local subgraphs are induced together by one
 #: :func:`~repro.graph.bigraph.csr_induce_many` call: enough to spread
 #: its fixed numpy cost thin, few enough to bound the gathered rows.
@@ -125,10 +113,6 @@ UNIT_BATCH = 32
 #: Guards every totals memo: creation, lookups and publishes.  Misses are
 #: computed outside it, so it is only ever held for array copies.
 _MEMO_LOCK = threading.Lock()
-
-#: Estimation call ids, unique within this process (``next`` on a
-#: ``count`` is atomic, so concurrent calls never share one).
-_CALLS = itertools.count()
 
 
 @dataclass
@@ -301,88 +285,20 @@ def _dp_state(kind: str, max_level: int, local: LocalSubgraph, acct: dict):
 
 
 def _unit_states(
-    graph: BipartiteGraph,
-    kind: str,
-    max_level: int,
-    units: list,
-    cache: OrderedDict,
-    acct: dict,
+    graph: BipartiteGraph, kind: str, max_level: int, units: list, acct: dict
 ):
     """Yield the built ``(LocalSubgraph, ZigzagDP, head_range)`` of each
     unit, in order.
 
-    A state resident in the LRU ``cache`` is served from it
-    (``acct["cache_hits"]``); the others of each run of ``UNIT_BATCH``
-    units have their subgraphs induced together, are built once and
-    inserted (evicting the least-recently-used unit beyond
-    ``DP_CACHE_UNITS``).  The totals pass populates the cache and the
-    sampling pass reuses it, so no unit is built twice in one call.
+    Each run of ``UNIT_BATCH`` units has its subgraphs induced together
+    and each unit's DP built as the caller reaches it.  Nothing is kept:
+    a state is dropped once the caller moves past it, so a pass holds at
+    most one batch of unit state, and the sampling pass rebuilds every
+    unit it samples.
     """
     for start in range(0, len(units), UNIT_BATCH):
-        group = units[start : start + UNIT_BATCH]
-        keys = [(kind, max_level, unit) for unit in group]
-        states = [cache.get(key) for key in keys]
-        missing = [i for i, state in enumerate(states) if state is None]
-        acct["cache_hits"] += len(group) - len(missing)
-        acct["cache_misses"] += len(missing)
-        if missing:
-            built = _build_units(graph, kind, [group[i] for i in missing])
-            for i, local in zip(missing, built):
-                states[i] = _dp_state(kind, max_level, local, acct)
-        for key, state in zip(keys, states):
-            cache[key] = state
-            cache.move_to_end(key)
-            if len(cache) > DP_CACHE_UNITS:
-                cache.popitem(last=False)
-        yield from states
-
-
-def _units_totals(
-    graph: BipartiteGraph,
-    kind: str,
-    max_level: int,
-    levels: "tuple[int, ...]",
-    units: list,
-    cache: OrderedDict,
-    acct: dict,
-) -> "list[list[float]]":
-    """Exact per-level zigzag totals of each unit (the DP pass)."""
-    rows = []
-    for _, dp, head in _unit_states(graph, kind, max_level, units, cache, acct):
-        if dp is None:
-            rows.append([0.0] * len(levels))
-        else:
-            rows.append([float(dp.zigzag_count(level, head)) for level in levels])
-    return rows
-
-
-def _sample_units(
-    graph: BipartiteGraph,
-    kind: str,
-    h_max: int,
-    max_level: int,
-    levels: "tuple[int, ...]",
-    items: list,
-    cache: OrderedDict,
-    acct: dict,
-    stats: SamplingStats,
-):
-    """Sample every ``(row, unit, alloc_row, seed_seq)`` item in order.
-
-    Returns ``([(row, sums, hits), ...], total hits)``; every unit's
-    per-cell maximum hit folds into ``stats``.
-    """
-    results = []
-    hits_total = 0
-    states = _unit_states(graph, kind, max_level, [item[1] for item in items], cache, acct)
-    for (row, _unit, alloc_row, seed_seq), state in zip(items, states):
-        sums, max_hit, hits = _estimate_unit(
-            state, kind, h_max, levels, alloc_row, seed_seq, acct
-        )
-        results.append((row, sums, hits))
-        hits_total += hits
-        stats.merge(SamplingStats(max_hit=max_hit))
-    return results, hits_total
+        for local in _build_units(graph, kind, units[start : start + UNIT_BATCH]):
+            yield _dp_state(kind, max_level, local, acct)
 
 
 def _estimate_unit(
@@ -448,42 +364,16 @@ def _denominator(kind: str, p: int, q: int) -> int:
 
 
 def _new_acct() -> dict:
-    return {
-        "dp_cells": 0,
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "batches": 0,
-        "batch_max": 0,
-    }
+    return {"dp_cells": 0, "batches": 0, "batch_max": 0}
 
 
-def _worker_lru(call: int) -> OrderedDict:
-    """This worker's unit-state LRU for estimation call ``call``.
-
-    Shared by the call's totals and sampling passes.  Resident pools
-    outlive calls, so the first chunk of a new call drops the states of
-    the previous one: unit states are never reused across calls, though
-    an idle worker holds the last call's until the next one arrives.
-    """
-    cache = worker_cache()
-    if cache.get("zigzag.call") != call:
-        cache["zigzag.call"] = call
-        cache["zigzag.unit_lru"] = OrderedDict()
-    return cache["zigzag.unit_lru"]
-
-
-def _acct_stats(acct: dict, extra_counters: "dict | None" = None) -> dict:
+def _acct_stats(acct: dict) -> dict:
     """Fold an acct dict into worker-stat counter/gauge form."""
-    counters = {
-        "zigzag.dp_table_cells": acct["dp_cells"],
-        "zigzag.dp_cache_hits": acct["cache_hits"],
-        "zigzag.dp_cache_misses": acct["cache_misses"],
-        "zigzag.sample_batches": acct["batches"],
-    }
-    if extra_counters:
-        counters.update(extra_counters)
     return {
-        "counters": counters,
+        "counters": {
+            "zigzag.dp_table_cells": acct["dp_cells"],
+            "zigzag.sample_batches": acct["batches"],
+        },
         "gauges": {"zigzag.batch_max_size": acct["batch_max"]},
     }
 
@@ -537,14 +427,22 @@ def _memo_publish(
             known[unit_ids] = True
 
 
-def _totals_chunk(payload):
-    """Worker: exact per-unit zigzag totals over one chunk of units."""
-    kind, max_level, levels, units, call, collect = payload
-    graph = worker_graph()
-    cache = _worker_lru(call)
+def _totals_chunk(payload, graph: "BipartiteGraph | None" = None):
+    """Exact per-level zigzag totals of one chunk of units (the DP pass).
+
+    Pool workers read the pool's graph; a serial run passes its own.
+    """
+    kind, max_level, levels, units, collect = payload
+    if graph is None:
+        graph = worker_graph()
     acct = _new_acct()
     start = time.perf_counter()
-    rows = _units_totals(graph, kind, max_level, levels, units, cache, acct)
+    rows = []
+    for _, dp, head in _unit_states(graph, kind, max_level, units, acct):
+        if dp is None:
+            rows.append([0.0] * len(levels))
+        else:
+            rows.append([float(dp.zigzag_count(level, head)) for level in levels])
     if not collect:
         return rows, None
     stats = _acct_stats(acct)
@@ -557,27 +455,36 @@ def _totals_chunk(payload):
     return rows, stats
 
 
-def _sampling_chunk(payload):
-    """Worker: sample one chunk of allocated units with their own streams."""
-    kind, h_max, max_level, levels, items, call, collect = payload
-    graph = worker_graph()
-    cache = _worker_lru(call)
+def _sampling_chunk(payload, graph: "BipartiteGraph | None" = None):
+    """Sample one chunk of ``(row, unit, alloc_row, seed_seq)`` items in
+    order, each unit with its own stream.
+
+    Returns ``([(row, sums, hits), ...], stats)``; the stats carry the
+    chunk's :class:`SamplingStats` partial (every unit's per-cell maximum
+    hit) under ``"sampling"``.  Graph as in :func:`_totals_chunk`.
+    """
+    kind, h_max, max_level, levels, items, collect = payload
+    if graph is None:
+        graph = worker_graph()
     acct = _new_acct()
     start = time.perf_counter()
     partial = SamplingStats()
-    results, hits_total = _sample_units(
-        graph, kind, h_max, max_level, levels, items, cache, acct, partial
-    )
+    results = []
+    states = _unit_states(graph, kind, max_level, [item[1] for item in items], acct)
+    for (row, _unit, alloc_row, seed_seq), state in zip(items, states):
+        sums, max_hit, hits = _estimate_unit(
+            state, kind, h_max, levels, alloc_row, seed_seq, acct
+        )
+        results.append((row, sums, hits))
+        partial.merge(SamplingStats(max_hit=max_hit))
     if not collect:
         # The stats partial must ride back even without observability:
         # the parent's SamplingStats.max_hit feeds adaptive sampling.
         return results, {"sampling": partial}
     stats = _acct_stats(acct)
-    # Units built *during sampling* are cache-affinity rebuilds (the pool
-    # gave this chunk to a worker that didn't run the unit's totals, or
-    # the totals came from the memo), not new DP work: charge them
-    # separately so ``zigzag.dp_table_cells`` stays identical between
-    # serial and parallel runs.
+    # The sampling pass rebuilds the units the totals pass built (or
+    # read from the memo): charge its cells apart, so
+    # ``zigzag.dp_table_cells`` counts each unit's totals build once.
     counters = stats["counters"]
     counters["zigzag.dp_rebuild_cells"] = counters.pop("zigzag.dp_table_cells")
     stats.update(
@@ -586,7 +493,7 @@ def _sampling_chunk(payload):
         wall_time=time.perf_counter() - start,
         warmup_seconds=worker_warmup_seconds(),
         samples_drawn=sum(sum(item[2]) for item in items),
-        sample_hits=hits_total,
+        sample_hits=sum(hits for _, _, hits in results),
         sampling=partial,
     )
     return results, stats
@@ -601,9 +508,9 @@ class _Estimator:
     """Two-pass proportional-allocation zigzag estimation engine.
 
     Subclasses define the subgraph family (``kind``) and its sampled
-    levels; everything else — DP construction with LRU reuse, multinomial
-    allocation, per-unit-stream batch sampling, process
-    fan-out, unbiased scaling — is shared between ZigZag and ZigZag++.
+    levels; everything else — DP construction, multinomial allocation,
+    per-unit-stream batch sampling, process fan-out, unbiased scaling —
+    is shared between ZigZag and ZigZag++.
     """
 
     #: Subgraph family: ``"zigzag"`` (per edge) or ``"zigzagpp"`` (per
@@ -641,7 +548,6 @@ class _Estimator:
         self.obs = obs if obs is not None else NULL_REGISTRY
         self.workers = workers
         self.pool = pool
-        self._cache: OrderedDict = OrderedDict()
 
     # Subclass hooks -----------------------------------------------------
 
@@ -655,8 +561,6 @@ class _Estimator:
     # Driver -------------------------------------------------------------
 
     def run(self) -> BicliqueCounts:
-        # Names this call to pool workers (see :func:`_worker_lru`).
-        self._call = next(_CALLS)
         obs = self.obs
         track = obs.enabled
         counts = BicliqueCounts(self.h_max, self.h_max)
@@ -671,8 +575,6 @@ class _Estimator:
         if max_level == 0 or not units:
             return counts
         n_workers = min(resolve_workers(self.workers), len(units))
-        acct = _new_acct()
-        sample_acct = _new_acct()
         pool = self.pool
         own_pool = None
         try:
@@ -682,7 +584,7 @@ class _Estimator:
                 obs.gauge_max("parallel.workers", pool.max_workers)
             # Pass 1: exact zigzag totals per unit and per level.
             with obs.phase("zigzag.dp_pass"):
-                totals = self._totals_pass(units, levels, max_level, pool, acct)
+                totals = self._totals_pass(units, levels, max_level, pool)
             level_totals = totals.sum(axis=0)
             for col, level in enumerate(levels):
                 self.stats.zigzag_totals[level] = float(level_totals[col])
@@ -704,13 +606,14 @@ class _Estimator:
             # Pass 2: per-unit-stream sampling and in-order accumulation.
             start = time.perf_counter()
             with obs.phase("zigzag.sampling_pass"):
-                results, hits = self._sampling_pass(
-                    units, levels, max_level, allocation, active, children, pool,
-                    sample_acct,
+                results = self._sampling_pass(
+                    units, levels, max_level, allocation, active, children, pool
                 )
             elapsed = time.perf_counter() - start
             sums: dict[tuple[int, int], float] = {}
-            for _row, unit_sums, _unit_hits in results:
+            hits = 0
+            for _row, unit_sums, unit_hits in results:
+                hits += unit_hits
                 for pair, value in unit_sums.items():
                     sums[pair] = sums.get(pair, 0.0) + value
         finally:
@@ -725,22 +628,6 @@ class _Estimator:
             estimate = zigzags * total / (drawn * _denominator(self.kind, p, q))
             counts.add(p, q, estimate)
         if track:
-            for name, value in _acct_stats(acct)["counters"].items():
-                obs.incr(name, value)
-            sample_counters = _acct_stats(sample_acct)["counters"]
-            # Serial sampling hits the cache populated by the totals pass;
-            # a build here is a unit whose totals came from the memo, or
-            # an LRU-eviction rebuild — the same bucket as the workers'
-            # affinity rebuilds.
-            sample_counters["zigzag.dp_rebuild_cells"] = sample_counters.pop(
-                "zigzag.dp_table_cells"
-            )
-            for name, value in sample_counters.items():
-                obs.incr(name, value)
-            obs.gauge_max(
-                "zigzag.batch_max_size",
-                max(acct["batch_max"], sample_acct["batch_max"]),
-            )
             obs.incr("zigzag.samples_drawn", drawn_total)
             obs.incr("zigzag.sample_hits", hits)
             # Misses (zero-estimate samples): the zero-estimate rate of a
@@ -750,7 +637,7 @@ class _Estimator:
                 obs.gauge("zigzag.samples_per_sec", drawn_total / elapsed)
         return counts
 
-    def _totals_pass(self, units, levels, max_level, pool, acct) -> np.ndarray:
+    def _totals_pass(self, units, levels, max_level, pool) -> np.ndarray:
         """Exact per-unit totals: memoised rows from the graph's memo,
         the rest computed (serially or over the pool) and published."""
         unit_ids = np.asarray(units, dtype=np.int64)
@@ -759,60 +646,58 @@ class _Estimator:
         if self.obs.enabled:
             self.obs.incr("zigzag.totals_memo_hits", len(units) - missing.size)
             self.obs.incr("zigzag.totals_memo_misses", missing.size)
+        rows = self._run_pass(
+            _totals_chunk, (self.kind, max_level, levels),
+            [units[i] for i in missing.tolist()], pool,
+        )
         if missing.size:
-            rows = self._compute_totals(
-                [units[i] for i in missing.tolist()], levels, max_level, pool, acct
-            )
+            rows = np.asarray(rows, dtype=np.float64)
             totals[missing] = rows
             _memo_publish(self.graph, self.kind, levels, unit_ids[missing], rows)
         return totals
 
-    def _compute_totals(self, units, levels, max_level, pool, acct) -> np.ndarray:
-        """Exact per-unit totals, serial or fanned out over the pool."""
-        if pool is not None:
-            chunks = _in_order_chunks(units, pool.max_workers)
-            collect = self.obs.enabled
-            if collect:
-                self.obs.gauge_max("parallel.chunks", len(chunks))
-            payloads = [
-                (self.kind, max_level, levels, chunk, self._call, collect)
-                for chunk in chunks
-            ]
-            parts = split_worker_results(
-                pool.map(_totals_chunk, payloads), self.obs
-            )
-            rows = [row for part in parts for row in part]
-        else:
-            rows = _units_totals(
-                self.graph, self.kind, max_level, levels, units, self._cache, acct
-            )
-        totals = np.asarray(rows, dtype=np.float64)
-        return totals.reshape(len(units), len(levels))
-
     def _sampling_pass(
-        self, units, levels, max_level, allocation, active, children, pool, acct
-    ):
+        self, units, levels, max_level, allocation, active, children, pool
+    ) -> list:
         """Sample every allocated unit; returns in-unit-order results."""
         items = [
             (row, units[row], tuple(int(k) for k in allocation[row]), children[row + 1])
             for row in active
         ]
-        if pool is not None:
-            chunks = _in_order_chunks(items, pool.max_workers)
-            collect = self.obs.enabled
-            payloads = [
-                (self.kind, self.h_max, max_level, levels, chunk, self._call, collect)
-                for chunk in chunks
-            ]
-            parts = split_worker_results(
-                pool.map(_sampling_chunk, payloads), self.obs, self.stats
-            )
-            results = [result for part in parts for result in part]
-            return results, sum(hits for _, _, hits in results)
-        return _sample_units(
-            self.graph, self.kind, self.h_max, max_level, levels, items,
-            self._cache, acct, self.stats,
+        return self._run_pass(
+            _sampling_chunk, (self.kind, self.h_max, max_level, levels), items, pool
         )
+
+    def _run_pass(self, worker, head: tuple, items: list, pool) -> list:
+        """Run one pass's chunk ``worker`` over ``items``, results in order.
+
+        With a pool, ``items`` are cut into in-order chunks and each
+        worker's stats are recorded per worker; otherwise (or with
+        nothing to fan out) ``worker`` runs in-process on one chunk and
+        its counters fold straight into the totals, with no per-worker
+        entry.  Either way the ``"sampling"`` partials merge into
+        :attr:`stats`.
+        """
+        obs = self.obs
+        collect = obs.enabled
+        if pool is not None and items:
+            chunks = _in_order_chunks(items, pool.max_workers)
+            if collect:
+                obs.gauge_max("parallel.chunks", len(chunks))
+            parts = split_worker_results(
+                pool.map(worker, [head + (chunk, collect) for chunk in chunks]),
+                obs, self.stats,
+            )
+            return [result for part in parts for result in part]
+        results, stats = worker(head + (items, collect), self.graph)
+        if stats is not None:
+            if "sampling" in stats:
+                self.stats.merge(stats["sampling"])
+            for name, value in stats.get("counters", {}).items():
+                obs.incr(name, value)
+            for name, value in stats.get("gauges", {}).items():
+                obs.gauge_max(name, value)
+        return results
 
 
 def _in_order_chunks(items: list, n_workers: int) -> list[list]:
@@ -898,7 +783,7 @@ def zigzag_count_all(
     Returns a :class:`BicliqueCounts` (float cells for sampled levels,
     exact integers for ``min(p, q) = 1``), plus :class:`SamplingStats`
     when ``return_stats`` is set.  ``obs`` collects sampling counters
-    (samples drawn, hit/miss split, DP table cells, cache residency,
+    (samples drawn, hit/miss split, DP table and rebuild cells,
     samples/sec) and phase timers.
     """
     ordered = _prepare(graph)

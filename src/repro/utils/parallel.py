@@ -385,11 +385,9 @@ class GraphPool:
     :func:`run_chunked` opens and closes one of these per invocation;
     phased engines hold one open across *several* ``map()`` calls — the
     zigzag estimators run a totals pass and a sampling pass against the
-    same pool, so the graph ships once for both and the per-worker
-    :func:`worker_cache` (holding built ``LocalSubgraph`` + ``ZigzagDP``
-    state for the current call) survives between the phases.  The
-    service executor keeps one open per resident graph for all of its
-    exact counts and estimates.
+    same pool, so the graph ships once for both.  The service executor
+    keeps one open per resident graph for all of its exact counts and
+    estimates.
 
     The pool is a context manager; :meth:`close` (or ``__exit__``)
     shuts the executor down and releases the shared-memory segment.

@@ -8,6 +8,8 @@ must be exact *integers* throughout — no float leakage.
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 import repro.core.matrix as matrix_engine
@@ -68,15 +70,19 @@ class TestAgainstEPivoter:
                     q,
                 )
 
-    def test_wide_shallow_shapes(self, rng):
+    def test_wide_shallow_shapes(self):
         # min(p, q) == 2 with a large opposite side exercises the fold
         # at high k, where naive int64 arithmetic would overflow first.
-        g = complete_bigraph(4, 30)
-        for q in (5, 10, 25):
-            assert matrix_count_single(g, 2, q) == count_bicliques_brute(g, 2, q)
-        g = complete_bigraph(30, 4)
-        for p in (5, 10, 25):
-            assert matrix_count_single(g, p, 2) == count_bicliques_brute(g, p, 2)
+        # A complete graph's count is the exact closed form C(a, p) *
+        # C(b, q); brute force (C(30, p) left subsets on the tall graph)
+        # confirms it at the cheap k = 5 points.
+        wide = complete_bigraph(4, 30)
+        tall = complete_bigraph(30, 4)
+        for k in (5, 10, 25):
+            assert matrix_count_single(wide, 2, k) == comb(4, 2) * comb(30, k)
+            assert matrix_count_single(tall, k, 2) == comb(30, k) * comb(4, 2)
+        assert matrix_count_single(wide, 2, 5) == count_bicliques_brute(wide, 2, 5)
+        assert matrix_count_single(tall, 5, 2) == count_bicliques_brute(tall, 5, 2)
 
     def test_count_all_matches_count_single(self, rng):
         for _ in range(10):
